@@ -14,12 +14,13 @@
 //! subsequence of the canonical stream in canonical order.
 //!
 //! Bit-replayability: objects are partitioned disjointly across
-//! shards, and the tracker is per-object state, so every per-object
-//! answer (location, history) is identical to the unsharded chain's.
-//! At shutdown [`SharedIngest::into_report`] k-way merges the
-//! per-shard observation logs by release sequence and rebuilds one
-//! tracker that is **bit-identical** to a batch replay of the same
-//! recorded reads — the same acceptance gate every prior PR held.
+//! shards, and the tracker is per-object state whose equality depends
+//! only on each object's own feed, so every per-object answer
+//! (location, history) is identical to the unsharded chain's. At
+//! shutdown [`SharedIngest::into_report`] joins the shard trackers
+//! with [`LocationTracker::absorb`] into one tracker that is
+//! **bit-identical** to a batch replay of the same recorded reads —
+//! the same acceptance gate every prior PR held.
 //!
 //! Hostile input discipline: a record that fails conversion (garbage
 //! EPC, non-finite time) or merge admission (out of order, behind the
@@ -52,8 +53,9 @@ pub struct IngestOutcome {
 /// against a batch replay of the same recorded session set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerReport {
-    /// The canonical tracker, rebuilt from the per-shard observation
-    /// logs in release order — bit-identical to the batch pipeline.
+    /// The canonical tracker, bit-identical to the batch pipeline's.
+    /// In memory mode it is the union of the shard trackers; in durable
+    /// mode it is a replay of the store, which is the canonical log.
     pub tracker: LocationTracker,
     /// Every zone transition, in canonical stream order.
     pub transitions: Vec<ZoneTransition>,
@@ -83,8 +85,6 @@ struct IngestState {
 struct ShardState<'a> {
     observe: ObservationStream<'a>,
     tracker: LocationTracker,
-    /// `(release seq, observation)` — the shutdown rebuild log.
-    log: Vec<(u64, ZoneObservation)>,
     transitions: Vec<(u64, ZoneTransition)>,
     counters: ShardCounters,
     /// Tickets applied so far; ticket N may apply only when this is N.
@@ -120,9 +120,9 @@ pub struct SharedIngest<'a> {
     state: Mutex<IngestState>,
     shards: Vec<ShardSlot<'a>>,
     /// Whether a [`ZoneHistoryStore`] backs this plane. In durable
-    /// mode the shard observation logs are skipped (the store is the
-    /// log), shard tracker history is evicted as it becomes durable,
-    /// and history queries answer from the store.
+    /// mode shard tracker history is evicted as it becomes durable,
+    /// history queries answer from the store, and the report replays
+    /// the store.
     durable: bool,
 }
 
@@ -163,7 +163,6 @@ impl<'a> SharedIngest<'a> {
                     state: Mutex::new(ShardState {
                         observe: ObservationStream::new(site, registry),
                         tracker: LocationTracker::new(staleness_s),
-                        log: Vec::new(),
                         transitions: Vec::new(),
                         counters: ShardCounters::default(),
                         applied_tickets: 0,
@@ -177,10 +176,11 @@ impl<'a> SharedIngest<'a> {
 
     /// Creates a durable plane backed by an opened
     /// [`ZoneHistoryStore`]: observations recovered from the store are
-    /// replayed into the shard trackers (so live queries resume where
-    /// the previous run stopped), new releases are appended to the
-    /// store inside the release critical section, and shard history is
-    /// evicted as it becomes durable — bounding resident memory.
+    /// replayed into the shard trackers one segment at a time (so live
+    /// queries resume where the previous run stopped), new releases are
+    /// appended to the store inside the release critical section, and
+    /// shard history is evicted as it becomes durable — bounding
+    /// resident memory.
     ///
     /// # Errors
     ///
@@ -194,34 +194,42 @@ impl<'a> SharedIngest<'a> {
         shards: usize,
         store: ZoneHistoryStore,
     ) -> Result<Self, StoreError> {
-        let recovered = store.observations()?;
         let high_s = store.high_s();
         let mut ingest = Self::new(site, registry, adapters, staleness_s, shards);
         ingest.durable = true;
-        let lanes = ingest.shards.len();
-        for (seq, observation) in recovered.iter().enumerate() {
-            let lane = shard_of(observation.object.index() as u64, lanes);
-            let slot = &ingest.shards[lane];
-            let mut shard = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let emitted = shard.tracker.push(*observation);
+        // Nothing else can reach the plane yet, so the shards are
+        // borrowed directly rather than locked.
+        let mut shards: Vec<&mut ShardState<'a>> = ingest
+            .shards
+            .iter_mut()
+            .map(|slot| slot.state.get_mut().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let lanes = shards.len();
+        let mut recovered = 0u64;
+        store.visit_observations(|observation| {
+            let shard = &mut shards[shard_of(observation.object.index() as u64, lanes)];
+            let emitted = shard.tracker.push(observation);
             shard.transitions.extend(
                 emitted
                     .into_iter()
-                    .map(|transition| (seq as u64, transition)),
+                    .map(|transition| (recovered, transition)),
             );
-        }
+            recovered += 1;
+        })?;
         // Evict replayed history immediately: it is already durable, and
         // the live estimate (`last`) survives eviction.
         if let Some(high) = high_s {
-            for slot in &ingest.shards {
-                let mut shard = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+            for shard in &mut shards {
                 shard.tracker.evict_history_before(high);
             }
         }
         {
-            let mut state = ingest.lock();
-            state.counters.store_recovered = recovered.len() as u64;
-            state.next_seq = recovered.len() as u64;
+            let state = ingest
+                .state
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            state.counters.store_recovered = recovered;
+            state.next_seq = recovered;
             if let Some(high) = high_s {
                 state.now_s = high;
             }
@@ -361,12 +369,6 @@ impl<'a> SharedIngest<'a> {
         state.counters.events_routed += batch.events.len() as u64;
         for (seq, event) in batch.events {
             for observation in state.observe.push(event) {
-                // In durable mode the store *is* the observation log;
-                // duplicating it in memory would re-grow the unbounded
-                // Vec this store exists to remove.
-                if !self.durable {
-                    state.log.push((seq, observation));
-                }
                 let emitted = state.tracker.push(observation);
                 state
                     .transitions
@@ -521,7 +523,6 @@ impl<'a> SharedIngest<'a> {
             let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
             let tail: Vec<ZoneObservation> = state.observe.finish();
             for observation in tail {
-                state.log.push((tail_seq, observation));
                 let emitted = state.tracker.push(observation);
                 state
                     .transitions
@@ -742,14 +743,17 @@ impl<'a> SharedIngest<'a> {
         self.registry.name_of(object)
     }
 
-    /// Consumes the plane into its final report: the per-shard
-    /// observation logs merge by release sequence into the canonical
-    /// order, and one tracker is rebuilt from that order — bit-exact
-    /// to a batch replay. In durable mode the store *is* the canonical
-    /// log, so the tracker is rebuilt by replaying it — the recovery
-    /// path and the report path are one code path, which is what makes
-    /// "replay equals live run" a structural guarantee. Call after
-    /// [`SharedIngest::finish`] once every session has detached.
+    /// Consumes the plane into its final report. In memory mode the
+    /// shard trackers hold disjoint objects, each fed its canonical
+    /// subsequence, so their union ([`LocationTracker::absorb`]) is
+    /// bit-exact to a batch replay. In durable mode the shards have
+    /// evicted their history and the store *is* the canonical log, so
+    /// the tracker is rebuilt by replaying it one segment at a time —
+    /// the recovery path and the report path are one code path, which
+    /// is what makes "replay equals live run" a structural guarantee.
+    /// Transitions merge back into canonical order by release
+    /// sequence. Call after [`SharedIngest::finish`] once every session
+    /// has detached.
     #[must_use]
     pub fn into_report(self) -> ServerReport {
         let mut state = self
@@ -762,7 +766,7 @@ impl<'a> SharedIngest<'a> {
                 counters.store_errors += 1;
             }
         }
-        let mut log: Vec<(u64, ZoneObservation)> = Vec::new();
+        let mut tracker = LocationTracker::new(self.staleness_s);
         let mut transitions: Vec<(u64, ZoneTransition)> = Vec::new();
         let mut shard_counters = Vec::with_capacity(self.shards.len());
         for slot in self.shards {
@@ -770,34 +774,25 @@ impl<'a> SharedIngest<'a> {
                 .state
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner);
-            log.extend(shard.log);
+            if !self.durable {
+                tracker.absorb(shard.tracker);
+            }
             transitions.extend(shard.transitions);
             shard_counters.push(shard.counters);
         }
-        // Release sequence numbers are unique, so the sorts are total:
+        // Release sequence numbers are unique, so the sort is total:
         // this *is* the k-way merge back into canonical stream order.
-        log.sort_unstable_by_key(|&(seq, _)| seq);
         transitions.sort_by_key(|&(seq, _)| seq);
         counters.transitions = transitions.len() as u64;
-        let mut tracker = LocationTracker::new(self.staleness_s);
         if let Some(store) = state.store.as_ref() {
-            match store.observations() {
-                Ok(observations) => {
-                    for observation in observations {
-                        // `push` drops non-finite times instead of
-                        // erroring; stored times were validated at
-                        // append, so nothing is dropped here.
-                        let _ = tracker.push(observation);
-                    }
-                }
-                Err(err) => {
-                    counters.store_errors += 1;
-                    eprintln!("store replay failed at shutdown: {err}");
-                }
-            }
-        } else {
-            for (_, observation) in log {
+            // `push` drops non-finite times instead of erroring; stored
+            // times were validated at append, so nothing is dropped here.
+            let replayed = store.visit_observations(|observation| {
                 let _ = tracker.push(observation);
+            });
+            if let Err(err) = replayed {
+                counters.store_errors += 1;
+                eprintln!("store replay failed at shutdown: {err}");
             }
         }
         ServerReport {

@@ -53,7 +53,7 @@ fn usage() -> String {
         "  --reader-port P       reader listener port (default 0 = ephemeral)",
         "  --query-port P        query listener port (default 0 = ephemeral)",
         "  --token T             query auth token (default: change-me)",
-        "  --staleness S         tracker staleness horizon in seconds",
+        "  --staleness S         tracker staleness horizon in seconds (> 0)",
         "  --shards K            parallel ingest application shards",
         "                        (default 0 = machine parallelism; any K",
         "                        produces the same state, bit for bit)",
@@ -101,9 +101,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--token" => options.token = value("--token")?.clone(),
             "--staleness" => {
-                options.staleness_s = value("--staleness")?
+                let staleness_s: f64 = value("--staleness")?
                     .parse()
                     .map_err(|e| format!("--staleness: {e}"))?;
+                if staleness_s.is_nan() || staleness_s <= 0.0 {
+                    return Err(format!(
+                        "--staleness must be a positive number of seconds, not {staleness_s}\n\n{}",
+                        usage()
+                    ));
+                }
+                options.staleness_s = staleness_s;
             }
             "--shards" => {
                 options.shards = value("--shards")?
@@ -191,5 +198,29 @@ fn main() -> ExitCode {
             eprintln!("rfid-site-server: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn a_non_positive_staleness_is_a_usage_error() {
+        for bad in ["0", "-0", "-1.5", "NaN", "-inf"] {
+            let err = match parse(&format!("--staleness {bad}")) {
+                Ok(_) => panic!("--staleness {bad} must be refused"),
+                Err(err) => err,
+            };
+            assert!(err.contains("must be a positive number"), "{err}");
+            assert!(err.contains("usage:"), "{err}");
+        }
+        let options = parse("--staleness 2.5").expect("a positive staleness parses");
+        assert!((options.staleness_s - 2.5).abs() < f64::EPSILON);
     }
 }

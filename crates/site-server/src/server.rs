@@ -99,14 +99,27 @@ impl<'a> SiteServer<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures. Per-connection
-    /// failures never abort the run; they are counted in the report.
+    /// [`io::ErrorKind::InvalidInput`] if
+    /// [`ServerConfig::staleness_s`] is not strictly positive (zero,
+    /// negative or `NaN`), returned before the listeners are touched or
+    /// any thread is spawned. Propagates listener configuration and
+    /// store recovery failures. Per-connection failures never abort the
+    /// run; they are counted in the report.
     pub fn run(
         &self,
         reader_listener: &TcpListener,
         query_listener: &TcpListener,
         shutdown: &AtomicBool,
     ) -> io::Result<ServerReport> {
+        if self.config.staleness_s.is_nan() || self.config.staleness_s <= 0.0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "staleness must be positive, not {}",
+                    self.config.staleness_s
+                ),
+            ));
+        }
         reader_listener.set_nonblocking(true)?;
         query_listener.set_nonblocking(true)?;
         let ingest = match &self.config.store_dir {
@@ -257,6 +270,27 @@ mod tests {
     impl Drop for RaiseOnDrop<'_> {
         fn drop(&mut self) {
             self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_non_positive_staleness_is_rejected_before_serving() {
+        let site = Site::new();
+        let registry = ObjectRegistry::new();
+        let reader_listener = TcpListener::bind("127.0.0.1:0").expect("bind reader");
+        let query_listener = TcpListener::bind("127.0.0.1:0").expect("bind query");
+        // A raised flag means a run that got past validation would drain
+        // at once instead of serving forever (and panic building its
+        // trackers).
+        let shutdown = AtomicBool::new(true);
+        for staleness_s in [0.0, -0.0, -5.0, f64::NAN, f64::NEG_INFINITY] {
+            let mut config = ServerConfig::new("token");
+            config.staleness_s = staleness_s;
+            let server = SiteServer::new(&site, &registry, &[], config);
+            let err = server
+                .run(&reader_listener, &query_listener, &shutdown)
+                .expect_err("a non-positive staleness must not serve");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{staleness_s}");
         }
     }
 

@@ -14,6 +14,7 @@ use crate::store::ZoneHistoryIndex;
 use crate::stream::Operator;
 use rfid_sim::ReadEvent;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -153,13 +154,18 @@ impl std::error::Error for ObserveError {}
 ///
 /// The estimate is "last zone seen", expiring after `staleness_s` without
 /// a new observation — room-level tracking with an honest unknown state.
-/// History is held in a [`ZoneHistoryIndex`], so historical
-/// [`LocationTracker::location_of`] and
-/// [`LocationTracker::objects_in_zone`] queries are `O(log n)` probes
-/// rather than scans, and durable deployments can evict observations
-/// that are already safe in a
+/// History is held in a [`ZoneHistoryIndex`] of per-object time-ordered
+/// runs, so historical [`LocationTracker::location_of`] and
+/// [`LocationTracker::objects_in_zone`] queries are one binary search
+/// of the object's run rather than scans, and durable deployments can
+/// evict observations that are already safe in a
 /// [`ZoneHistoryStore`](crate::store::ZoneHistoryStore) via
 /// [`LocationTracker::evict_history_before`].
+///
+/// Equality depends only on each object's own feed: trackers fed the
+/// same per-object sequences compare equal however the objects were
+/// interleaved, so trackers over disjoint objects join into the
+/// single-feed tracker with [`LocationTracker::absorb`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LocationTracker {
     staleness_s: f64,
@@ -196,19 +202,42 @@ impl LocationTracker {
                 time_s: observation.time_s,
             });
         }
-        let entry = self.last.entry(observation.object.index());
-        match entry {
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                if observation.time_s >= slot.get().1 {
-                    slot.insert((observation.zone, observation.time_s));
-                }
-            }
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert((observation.zone, observation.time_s));
-            }
-        }
+        self.note_latest(
+            observation.object.index(),
+            (observation.zone, observation.time_s),
+        );
         self.history.insert(observation);
         Ok(())
+    }
+
+    /// Makes `(zone, time_s)` the object's estimate unless the current
+    /// one is newer: equal times resolve to the later call.
+    fn note_latest(&mut self, object: usize, latest: (usize, f64)) {
+        match self.last.entry(object) {
+            Entry::Occupied(mut slot) => {
+                if latest.1 >= slot.get().1 {
+                    slot.insert(latest);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(latest);
+            }
+        }
+    }
+
+    /// Joins `other` into this tracker. The result equals feeding
+    /// `other`'s observations after this tracker's: per object, its
+    /// retained history merges in after every observation here at or
+    /// before its time, and its estimate replaces this one unless this
+    /// one is newer. History either tracker evicted stays evicted, and
+    /// the staleness horizon stays this tracker's. For trackers over
+    /// disjoint objects — the shards of one ingest plane — it is a
+    /// plain move.
+    pub fn absorb(&mut self, other: LocationTracker) {
+        for (object, latest) in other.last {
+            self.note_latest(object, latest);
+        }
+        self.history.absorb(other.history);
     }
 
     /// Feeds a batch of observations, stopping at the first rejection
@@ -242,8 +271,8 @@ impl LocationTracker {
     ///
     /// Live queries (`now_s` at or past the object's newest
     /// observation) are answered in `O(log objects)` from the running
-    /// estimate; historical queries are one `O(log n)` probe of the
-    /// time index. Observations evicted by
+    /// estimate; historical queries add one binary search of the
+    /// object's history run. Observations evicted by
     /// [`LocationTracker::evict_history_before`] no longer answer
     /// historical queries (durable deployments route those to the
     /// store).
@@ -283,7 +312,7 @@ impl LocationTracker {
 
     /// Objects estimated to be in `zone` as of `now_s` (point-in-time,
     /// like [`LocationTracker::location_of`]), ascending by handle.
-    /// One `O(log n)` index probe per tracked object.
+    /// At most one history-run probe per tracked object.
     #[must_use]
     pub fn objects_in_zone(&self, zone: usize, now_s: f64) -> Vec<ObjectHandle> {
         self.last

@@ -5,9 +5,11 @@
 //! forever, is not deployable. [`ZoneHistoryStore`] is the fix — an
 //! append-only, segmented log of [`Record`]s with per-record CRC-32
 //! framing, deterministic serialization ([`codec`]), crash recovery
-//! with explicit torn-tail semantics, and a per-object time index
-//! ([`index`]) answering `location_at(object, t)` point queries in
-//! `O(log n)` probes plus one bounded segment read.
+//! with explicit torn-tail semantics, and a per-object span index over
+//! segments (keyed by [`index::time_key`]) answering
+//! `location_at(object, t)` point queries in `O(log n)` probes plus one
+//! bounded segment read. Replay streams the log one segment at a time
+//! ([`ZoneHistoryStore::visit_segments`]).
 //!
 //! # On-disk format
 //!
@@ -707,40 +709,69 @@ impl ZoneHistoryStore {
         Ok(out)
     }
 
-    /// Every stored record in append order: the full replay stream.
+    /// Visits every stored record in append order, one segment at a
+    /// time: `visit` sees each segment's records once, in segment index
+    /// order, the open tail last. Only one segment is resident at a
+    /// time, so a replay over a long log holds one segment's records,
+    /// never the whole log.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] / [`StoreError::CorruptSegment`] if a
-    /// segment can no longer be read back.
-    pub fn records(&self) -> Result<Vec<Record>, StoreError> {
-        let mut out = Vec::with_capacity(self.next_seq as usize);
+    /// segment can no longer be read back; segments before it have
+    /// been visited.
+    pub fn visit_segments(&self, mut visit: impl FnMut(&[Record])) -> Result<(), StoreError> {
         for index in 0..self.closed.len() {
-            let index = index as u32;
-            out.extend(self.read_closed(index)?);
+            visit(&self.read_closed(index as u32)?);
         }
         if let Some(open) = &self.open {
-            out.extend_from_slice(&open.records);
+            visit(&open.records);
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Every stored [`ZoneObservation`] in append order — the replay
-    /// stream a [`LocationTracker`](crate::LocationTracker) rebuilds
-    /// from.
+    /// Every stored record in append order: the full replay stream.
     ///
     /// # Errors
     ///
-    /// As for [`ZoneHistoryStore::records`].
+    /// As for [`ZoneHistoryStore::visit_segments`].
+    pub fn records(&self) -> Result<Vec<Record>, StoreError> {
+        let mut out = Vec::with_capacity(self.next_seq as usize);
+        self.visit_segments(|records| out.extend_from_slice(records))?;
+        Ok(out)
+    }
+
+    /// Visits every stored [`ZoneObservation`] in append order — the
+    /// replay stream a [`LocationTracker`](crate::LocationTracker)
+    /// rebuilds from — reading one segment at a time through
+    /// [`ZoneHistoryStore::visit_segments`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`ZoneHistoryStore::visit_segments`].
+    pub fn visit_observations(
+        &self,
+        mut visit: impl FnMut(ZoneObservation),
+    ) -> Result<(), StoreError> {
+        self.visit_segments(|records| {
+            for record in records {
+                if let Record::Observation(observation) = record {
+                    visit(*observation);
+                }
+            }
+        })
+    }
+
+    /// Every stored [`ZoneObservation`] in append order, collected from
+    /// [`ZoneHistoryStore::visit_observations`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`ZoneHistoryStore::visit_segments`].
     pub fn observations(&self) -> Result<Vec<ZoneObservation>, StoreError> {
-        Ok(self
-            .records()?
-            .into_iter()
-            .filter_map(|record| match record {
-                Record::Observation(observation) => Some(observation),
-                _ => None,
-            })
-            .collect())
+        let mut out = Vec::new();
+        self.visit_observations(|observation| out.push(observation))?;
+        Ok(out)
     }
 }
 

@@ -6,12 +6,15 @@
 //! reports the truncation, while damage below the final segment is a
 //! typed error. These tests drive each failure mode through the real
 //! filesystem: truncating a tail mid-record, flipping a checksummed
-//! byte, deleting a middle segment, deleting the final segment.
+//! byte, deleting a middle segment, deleting the final segment. The
+//! segment visitor that replay streams through is pinned to the same
+//! recovered log.
 
 use proptest::prelude::*;
 use rfid_track::store::Record;
 use rfid_track::{
     ObjectHandle, ObjectRegistry, StoreConfig, StoreError, ZoneHistoryStore, ZoneObservation,
+    ZoneTransition,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -50,6 +53,36 @@ fn seeded_store(dir: &Path, count: usize, per_segment: usize) -> Vec<Record> {
     let mut store = ZoneHistoryStore::open(dir, config).expect("open fresh store");
     let records: Vec<Record> = (0..count)
         .map(|i| observation(objects[i % objects.len()], i % 4, i as f64 * 0.5))
+        .collect();
+    for record in &records {
+        store.append(record).expect("append");
+    }
+    store.flush().expect("flush");
+    records
+}
+
+/// Like [`seeded_store`], but every third record is a transition, so
+/// the observation stream is a strict subsequence of the record log.
+fn mixed_store(dir: &Path, count: usize, per_segment: usize) -> Vec<Record> {
+    let objects = handles(3);
+    let config = StoreConfig {
+        records_per_segment: per_segment,
+    };
+    let mut store = ZoneHistoryStore::open(dir, config).expect("open fresh store");
+    let records: Vec<Record> = (0..count)
+        .map(|i| {
+            let (object, time_s) = (objects[i % objects.len()], i as f64 * 0.5);
+            if i % 3 == 2 {
+                Record::Transition(ZoneTransition {
+                    object,
+                    from: Some(i % 4),
+                    to: (i + 1) % 4,
+                    time_s,
+                })
+            } else {
+                observation(object, i % 4, time_s)
+            }
+        })
         .collect();
     for record in &records {
         store.append(record).expect("append");
@@ -241,6 +274,52 @@ proptest! {
                     || recovered.len() == records.len()
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The segment visitor streams exactly the recovered log: one call
+    /// per segment file, none longer than a segment, their
+    /// concatenation a prefix of what was appended and equal to
+    /// `records()`, and its observations equal to `observations()` —
+    /// on a clean reopen and after the tail is torn at any byte.
+    #[test]
+    fn segment_visitor_yields_exactly_the_recovered_log(
+        cut in 0usize..400,
+        count in 1usize..14,
+    ) {
+        let dir = store_dir(&format!("prop-visit-{cut}-{count}"));
+        let records = mixed_store(&dir, count, 4);
+        let tail = segment_path(&dir, u32::try_from((count - 1) / 4).expect("few segments"));
+        let bytes = fs::read(&tail).expect("read tail");
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&tail)
+            .expect("open tail")
+            .set_len(cut.min(bytes.len()) as u64)
+            .expect("truncate");
+
+        let store = reopen(&dir, 4).expect("recovery never fails on a torn tail");
+        let mut visited: Vec<Record> = Vec::new();
+        let mut lengths: Vec<usize> = Vec::new();
+        store
+            .visit_segments(|segment| {
+                lengths.push(segment.len());
+                visited.extend_from_slice(segment);
+            })
+            .expect("visit");
+        prop_assert_eq!(lengths.len(), store.segment_count());
+        prop_assert!(lengths.iter().all(|&len| len <= 4), "{:?}", lengths);
+        prop_assert_eq!(visited.len() as u64, store.len());
+        prop_assert_eq!(&visited[..], &records[..visited.len()]);
+        prop_assert_eq!(&visited, &store.records().expect("read back"));
+        let observed: Vec<ZoneObservation> = visited
+            .iter()
+            .filter_map(|record| match record {
+                Record::Observation(observation) => Some(*observation),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(observed, store.observations().expect("observations"));
         let _ = fs::remove_dir_all(&dir);
     }
 

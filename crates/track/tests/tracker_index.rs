@@ -1,12 +1,14 @@
 //! Equivalence properties for the tracker's indexed query paths.
 //!
-//! `LocationTracker` now serves `location_of` and `objects_in_zone`
-//! from a `ZoneHistoryIndex` (`O(log n)` probes) instead of scanning a
-//! history vector. The index is only an optimization if it is
-//! *undetectable*: these properties pin both queries to a naive
-//! full-history reference scan over arbitrary (including out-of-order)
-//! finite feeds, and pin the typed rejection of non-finite times that
-//! replaced the old panicking `expect`.
+//! `LocationTracker` serves `location_of` and `objects_in_zone` from a
+//! `ZoneHistoryIndex` of per-object time-ordered runs (one binary
+//! search per probe) instead of scanning a history vector. The index
+//! is only an optimization if it is *undetectable*: these properties
+//! pin both queries to a naive full-history reference scan over
+//! arbitrary (including out-of-order) finite feeds, pin eviction to a
+//! filter of the time-sorted feed, pin `absorb` to one tracker fed the
+//! concatenated feeds, and pin the typed rejection of non-finite times
+//! that replaced the old panicking `expect`.
 
 use proptest::prelude::*;
 use rfid_track::{LocationTracker, ObjectHandle, ObjectRegistry, ObserveError, ZoneObservation};
@@ -26,19 +28,34 @@ fn handles() -> Vec<ObjectHandle> {
 /// common — exactly the cases where index/scan disagreement would hide.
 fn feed(plan: &[(usize, usize, u8)]) -> (LocationTracker, Vec<ZoneObservation>, Vec<ObjectHandle>) {
     let objects = handles();
-    let mut tracker = LocationTracker::new(STALENESS_S);
-    let mut fed = Vec::with_capacity(plan.len());
-    for &(object, zone, time) in plan {
-        let obs = ZoneObservation {
+    let fed: Vec<ZoneObservation> = plan
+        .iter()
+        .map(|&(object, zone, time)| ZoneObservation {
             object: objects[object],
             zone,
             time_s: f64::from(time) * 0.5,
             inferred: false,
-        };
-        tracker.observe(obs).expect("finite time");
-        fed.push(obs);
+        })
+        .collect();
+    (tracker_of(&fed), fed, objects)
+}
+
+/// One tracker fed `observations` in order.
+fn tracker_of<'a>(observations: impl IntoIterator<Item = &'a ZoneObservation>) -> LocationTracker {
+    let mut tracker = LocationTracker::new(STALENESS_S);
+    for obs in observations {
+        tracker.observe(*obs).expect("finite time");
     }
-    (tracker, fed, objects)
+    tracker
+}
+
+/// The object's feed in (time, feed-order) sort: what its history run
+/// must hold.
+fn time_sorted(fed: &[ZoneObservation], object: ObjectHandle) -> Vec<ZoneObservation> {
+    let mut want: Vec<ZoneObservation> =
+        fed.iter().copied().filter(|o| o.object == object).collect();
+    want.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).expect("finite"));
+    want
 }
 
 /// Reference `location_of`: scan the full feed, keep the last-fed
@@ -104,12 +121,73 @@ proptest! {
     ) {
         let (tracker, fed, objects) = feed(&plan);
         for object in &objects {
-            let mut want: Vec<ZoneObservation> =
-                fed.iter().copied().filter(|o| o.object == *object).collect();
-            want.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).expect("finite"));
             let got: Vec<ZoneObservation> = tracker.history_of(*object).collect();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(got, time_sorted(&fed, *object));
         }
+    }
+
+    /// Eviction keeps exactly the time-sorted feed at or after the
+    /// cutoff, reports exactly what it removed, and leaves every live
+    /// estimate (a query at or after the object's newest time) as it
+    /// was. Cutoffs fall on and between the feed's times.
+    #[test]
+    fn eviction_keeps_the_sorted_feed_at_or_after_the_cutoff(
+        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..48),
+        cut in 0usize..44,
+    ) {
+        let (mut tracker, fed, objects) = feed(&plan);
+        let cutoff_s = cut as f64 * 0.25;
+        let live_at = |object: ObjectHandle| {
+            let newest = fed
+                .iter()
+                .filter(|o| o.object == object)
+                .map(|o| o.time_s)
+                .fold(0.0, f64::max);
+            [newest, newest + 1.0, newest + STALENESS_S + 1.0]
+        };
+        let live = |tracker: &LocationTracker| -> Vec<Option<usize>> {
+            objects
+                .iter()
+                .flat_map(|&object| live_at(object).map(|at| tracker.location_of(object, at)))
+                .collect()
+        };
+        let before = live(&tracker);
+        let evicted = tracker.evict_history_before(cutoff_s);
+        let stale = fed.iter().filter(|o| o.time_s < cutoff_s).count();
+        prop_assert_eq!(evicted, stale);
+        prop_assert_eq!(tracker.history_len(), fed.len() - stale);
+        for object in &objects {
+            let want: Vec<ZoneObservation> = time_sorted(&fed, *object)
+                .into_iter()
+                .filter(|o| o.time_s >= cutoff_s)
+                .collect();
+            let got: Vec<ZoneObservation> = tracker.history_of(*object).collect();
+            prop_assert_eq!(got, want, "object {:?} cut at {}", object, cutoff_s);
+        }
+        prop_assert_eq!(live(&tracker), before);
+    }
+
+    /// `absorb` equals one tracker fed the concatenated feeds, whether
+    /// the two trackers share objects and times or hold disjoint
+    /// objects as the shards of one plane do — in which case the union
+    /// also equals the tracker fed the original interleaved feed.
+    #[test]
+    fn absorb_equals_one_tracker_fed_the_concatenated_feeds(
+        first in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..32),
+        second in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..32),
+    ) {
+        let (mut joined, first_fed, _) = feed(&first);
+        let (later, second_fed, _) = feed(&second);
+        joined.absorb(later);
+        prop_assert_eq!(joined, tracker_of(first_fed.iter().chain(&second_fed)));
+
+        let mut union = LocationTracker::new(STALENESS_S);
+        for shard in 0..2 {
+            union.absorb(tracker_of(
+                first_fed.iter().filter(|o| o.object.index() % 2 == shard),
+            ));
+        }
+        prop_assert_eq!(union, tracker_of(&first_fed));
     }
 }
 

@@ -99,6 +99,14 @@ test -n "$resumed_digest"
 test "$resumed_digest" = "$fresh_digest"
 rm -rf "$campaign_dir"
 
+# Build the end-to-end benchmark and smoke every workload with its
+# correctness gates. perfbench is a package with a workspace of its
+# own, so the stages above never compile it; without this stage a
+# break in an API it calls (the tracker, the store, the ingest plane)
+# would surface only when the benchmark runs. `timeout` covers the
+# build as well as the ~12 s of smoke runs.
+timeout 600 cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # Smoke the benchmark snapshot tool: it must run, assert the memoized
 # and reference paths bit-identical (and the campaign's streaming fold
 # identical to batch, kill+resume identical to uninterrupted), and emit
