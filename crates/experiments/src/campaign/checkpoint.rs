@@ -1,7 +1,7 @@
 //! Crash-safe campaign checkpointing.
 //!
 //! The checkpoint file is an append-only log of full
-//! [`CampaignState`](super::CampaignState) snapshots, one CRC-framed
+//! [`CampaignState`] snapshots, one CRC-framed
 //! record per completed instance:
 //!
 //! ```text

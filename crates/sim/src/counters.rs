@@ -15,7 +15,7 @@
 //! traffic) fire on every channel query — millions of times per sweep —
 //! so they accumulate in plain thread-local cells (one unsynchronized add
 //! each) and are flushed into the shared atomics once per trial, at
-//! [`record_scenario_time`]. A relaxed `fetch_add` is cheap but still a
+//! `record_scenario_time`. A relaxed `fetch_add` is cheap but still a
 //! locked RMW on the coherence fabric; with many worker threads hammering
 //! one cache line it becomes measurable, and the hot path should spend
 //! its cycles on physics. Flushing at trial boundaries keeps totals exact

@@ -35,7 +35,8 @@ use rfid_track::stream::{
     shard_of, MergeError, ObservationStream, Operator, SessionMerge, ShardCounters, ZoneTransition,
 };
 use rfid_track::{
-    LocationTracker, ObjectRegistry, Site, StoreError, ZoneHistoryStore, ZoneObservation,
+    LocationTracker, ObjectHandle, ObjectRegistry, Site, StoreError, ZoneHistoryStore,
+    ZoneObservation,
 };
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -182,6 +183,13 @@ impl<'a> SharedIngest<'a> {
     /// shard history is evicted as it becomes durable — bounding
     /// resident memory.
     ///
+    /// The replay evicts as it goes: after each segment, every shard
+    /// drops history older than that segment's newest time, so restart
+    /// never holds more than about one segment of history. Those
+    /// cutoffs rise with the segments and end at the store's newest
+    /// time, so the shards end exactly as a full replay followed by one
+    /// eviction at that time would leave them.
+    ///
     /// # Errors
     ///
     /// Propagates [`StoreError`] if the recovered log cannot be read
@@ -206,23 +214,29 @@ impl<'a> SharedIngest<'a> {
             .collect();
         let lanes = shards.len();
         let mut recovered = 0u64;
-        store.visit_observations(|observation| {
-            let shard = &mut shards[shard_of(observation.object.index() as u64, lanes)];
-            let emitted = shard.tracker.push(observation);
-            shard.transitions.extend(
-                emitted
-                    .into_iter()
-                    .map(|transition| (recovered, transition)),
-            );
-            recovered += 1;
-        })?;
-        // Evict replayed history immediately: it is already durable, and
-        // the live estimate (`last`) survives eviction.
-        if let Some(high) = high_s {
-            for shard in &mut shards {
-                shard.tracker.evict_history_before(high);
+        store.visit_segments(|records| {
+            for record in records {
+                let Record::Observation(observation) = record else {
+                    continue;
+                };
+                let shard = &mut shards[shard_of(observation.object.index() as u64, lanes)];
+                let emitted = shard.tracker.push(*observation);
+                shard.transitions.extend(
+                    emitted
+                        .into_iter()
+                        .map(|transition| (recovered, transition)),
+                );
+                recovered += 1;
             }
-        }
+            // Replayed history is already durable, and the live
+            // estimates survive eviction. Records are time-ordered, so
+            // the last one carries the segment's newest time.
+            if let Some(newest) = records.last() {
+                for shard in &mut shards {
+                    shard.tracker.evict_history_before(newest.time_s());
+                }
+            }
+        })?;
         {
             let state = ingest
                 .state
@@ -632,16 +646,64 @@ impl<'a> SharedIngest<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason for an unresolvable EPC.
+    /// Returns a human-readable reason for an unresolvable EPC, or an
+    /// unreadable store segment when the answer comes from the store.
     pub fn location_of(&self, epc_text: &str) -> Result<Option<(usize, String)>, String> {
         let object = self.resolve(epc_text)?;
         let lane = shard_of(object.index() as u64, self.shards.len());
-        let (target, now_s) = self.query_snapshot(lane);
+        let snapshot = self.query_snapshot(lane);
+        self.location_at_snapshot(object, lane, snapshot)
+    }
+
+    /// Answers [`SharedIngest::location_of`] at a snapshot taken by
+    /// [`SharedIngest::query_snapshot`]. Drains applied after the
+    /// snapshot may have moved the object's estimate past `now_s`; in
+    /// durable mode they may also have evicted the history that answers
+    /// `now_s`, so when the tracker finds nothing there the store,
+    /// which holds every released observation, answers instead. The
+    /// common answer costs one tracker probe in either mode.
+    fn location_at_snapshot(
+        &self,
+        object: ObjectHandle,
+        lane: usize,
+        (target, now_s): (u64, f64),
+    ) -> Result<Option<(usize, String)>, String> {
         let state = self.synced_shard(lane, target);
-        Ok(state
-            .tracker
-            .location_of(object, now_s)
-            .map(|zone| (zone, self.site.zone_name(zone).to_owned())))
+        let found = state.tracker.location_of(object, now_s);
+        // Eviction cuts only observations older than every retained
+        // one, so a retained answer is the true one; only a miss can
+        // hide evicted history.
+        if found.is_none()
+            && self.durable
+            && state
+                .tracker
+                .latest(object)
+                .is_some_and(|(_, time_s)| time_s > now_s)
+        {
+            drop(state);
+            return self.stored_location_at(object, now_s);
+        }
+        Ok(found.map(|zone| (zone, self.site.zone_name(zone).to_owned())))
+    }
+
+    /// The durable answer to a point-in-time location query: the
+    /// store's newest observation of `object` at or before `at_s`,
+    /// under the tracker's staleness horizon.
+    fn stored_location_at(
+        &self,
+        object: ObjectHandle,
+        at_s: f64,
+    ) -> Result<Option<(usize, String)>, String> {
+        let state = self.lock();
+        let found = state
+            .store
+            .as_ref()
+            .map_or(Ok(None), |store| store.location_at(object, at_s))
+            .map_err(|err| format!("store read failed: {err}"))?;
+        Ok(found.and_then(|(zone, time_s)| {
+            (at_s - time_s <= self.staleness_s)
+                .then(|| (zone, self.site.zone_name(zone).to_owned()))
+        }))
     }
 
     /// Full zone history of an object: `(zone index, zone name,
@@ -717,16 +779,7 @@ impl<'a> SharedIngest<'a> {
         }
         let object = self.resolve(epc_text)?;
         if self.durable {
-            let state = self.lock();
-            let found = state
-                .store
-                .as_ref()
-                .map_or(Ok(None), |store| store.location_at(object, at_s))
-                .map_err(|err| format!("store read failed: {err}"))?;
-            return Ok(found.and_then(|(zone, time_s)| {
-                (at_s - time_s <= self.staleness_s)
-                    .then(|| (zone, self.site.zone_name(zone).to_owned()))
-            }));
+            return self.stored_location_at(object, at_s);
         }
         let lane = shard_of(object.index() as u64, self.shards.len());
         let (target, _) = self.query_snapshot(lane);
@@ -811,6 +864,14 @@ impl<'a> SharedIngest<'a> {
 mod tests {
     use super::*;
     use rfid_gen2::Epc96;
+    use rfid_track::StoreConfig;
+    use std::path::PathBuf;
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ingest-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     fn world() -> (Site, ObjectRegistry, Vec<Epc96>) {
         let mut site = Site::new();
@@ -1007,5 +1068,150 @@ mod tests {
         // The lane watermark is 2.0, so only t=1.0 has been released
         // and routed; t=2.0 still sits in the merge.
         assert_eq!(routed, 1);
+    }
+
+    /// A drain applied between a query's snapshot and its answer moves
+    /// the object's estimate past the snapshot's "now". Durable mode
+    /// has then evicted the history that answers it, so the answer must
+    /// come from the store, as memory mode's comes from the tracker.
+    #[test]
+    fn location_of_answers_its_snapshot_after_a_later_drain() {
+        let (site, registry, epcs) = world();
+        let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
+        let dir = temp_dir("snapshot");
+        let store = ZoneHistoryStore::open(&dir, StoreConfig::default()).expect("open store");
+        let durable =
+            SharedIngest::with_store(&site, &registry, &adapters, 100.0, 2, store).expect("replay");
+        let memory = SharedIngest::new(&site, &registry, &adapters, 100.0, 2);
+        for ingest in [&durable, &memory] {
+            ingest.attach(0).expect("lane 0");
+            // The lane watermark 2.0 releases the dock read at t=1.
+            ingest.ingest_records(0, &[record(epcs[0], 1.0), record(epcs[0], 2.0)]);
+            let object = ingest.resolve(&epcs[0].to_string()).expect("known epc");
+            let lane = shard_of(object.index() as u64, ingest.shards());
+            let snapshot = ingest.query_snapshot(lane);
+            assert_eq!(snapshot.1, 1.0, "now is the released t=1");
+            // The next drain releases t=2 before the query is answered.
+            ingest.ingest_records(0, &[record(epcs[0], 3.0)]);
+            assert_eq!(
+                ingest.location_at_snapshot(object, lane, snapshot),
+                Ok(Some((0, "dock".to_owned()))),
+                "durable = {}",
+                ingest.is_durable()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Observations of both cases, with equal times straddling the
+    /// segment boundaries of a three-record store.
+    fn straddling_observations(registry: &ObjectRegistry, epcs: &[Epc96]) -> Vec<ZoneObservation> {
+        let (a, b) = (
+            registry.object_of(epcs[0]).expect("case 0"),
+            registry.object_of(epcs[1]).expect("case 1"),
+        );
+        [
+            (a, 0, 1.0),
+            (b, 0, 1.0),
+            (a, 1, 1.0),
+            (b, 1, 1.0),
+            (a, 0, 2.0),
+            (b, 0, 2.0),
+            (a, 1, 2.0),
+            (b, 1, 3.0),
+            (a, 0, 3.0),
+            (b, 0, 3.0),
+            (a, 1, 3.0),
+        ]
+        .into_iter()
+        .map(|(object, zone, time_s)| ZoneObservation {
+            object,
+            zone,
+            time_s,
+            inferred: false,
+        })
+        .collect()
+    }
+
+    /// Evicting after every segment of the replay leaves the plane
+    /// exactly as one replay followed by one eviction at the store's
+    /// newest time: the same shard trackers (holding only the newest
+    /// observations), answers, counters and report as a one-segment
+    /// store of the same records.
+    #[test]
+    fn segment_by_segment_replay_equals_replay_then_evict() {
+        let (site, registry, epcs) = world();
+        let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
+        let observations = straddling_observations(&registry, &epcs);
+        let newest = observations.last().expect("observations").time_s;
+        let shards = 2;
+        let mut replayed: Vec<LocationTracker> =
+            (0..shards).map(|_| LocationTracker::new(100.0)).collect();
+        for observation in &observations {
+            let _ =
+                replayed[shard_of(observation.object.index() as u64, shards)].push(*observation);
+        }
+        for tracker in &mut replayed {
+            tracker.evict_history_before(newest);
+        }
+        assert_eq!(
+            replayed
+                .iter()
+                .map(LocationTracker::history_len)
+                .sum::<usize>(),
+            4,
+            "only the four observations at t=3 stay"
+        );
+
+        let run = |name: &str, records_per_segment: usize| {
+            let dir = temp_dir(name);
+            let mut store = ZoneHistoryStore::open(
+                &dir,
+                StoreConfig {
+                    records_per_segment,
+                },
+            )
+            .expect("open");
+            for observation in &observations {
+                store
+                    .append(&Record::Observation(*observation))
+                    .expect("append");
+            }
+            store.flush().expect("flush");
+            let segments = store.segment_count();
+            let ingest =
+                SharedIngest::with_store(&site, &registry, &adapters, 100.0, shards, store)
+                    .expect("replay");
+            let trackers: Vec<LocationTracker> = ingest
+                .shards
+                .iter()
+                .map(|slot| slot.state.lock().expect("shard lock").tracker.clone())
+                .collect();
+            let mut answers = Vec::new();
+            for epc in &epcs {
+                let text = epc.to_string();
+                answers.push(format!("{:?}", ingest.location_of(&text)));
+                answers.push(format!("{:?}", ingest.zone_history(&text)));
+                for step in 0..8 {
+                    let at_s = f64::from(step) * 0.5;
+                    answers.push(format!("{:?}", ingest.location_at(&text, at_s)));
+                }
+            }
+            let counters = ingest.counters();
+            ingest.finish();
+            let report = ingest.into_report();
+            let _ = std::fs::remove_dir_all(&dir);
+            (segments, trackers, answers, counters, report)
+        };
+        let (segments, trackers, answers, counters, report) = run("segments", 3);
+        let (one, whole_trackers, whole_answers, whole_counters, whole_report) =
+            run("one-segment", 1024);
+        assert_eq!((segments, one), (4, 1));
+        assert_eq!(trackers, replayed, "evicting per segment = evicting once");
+        assert_eq!(whole_trackers, replayed);
+        assert_eq!(answers, whole_answers);
+        assert_eq!(counters, whole_counters);
+        assert_eq!(report, whole_report);
+        assert_eq!(report.counters.store_recovered, 11);
     }
 }

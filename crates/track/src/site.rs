@@ -14,7 +14,6 @@ use crate::store::ZoneHistoryIndex;
 use crate::stream::Operator;
 use rfid_sim::ReadEvent;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -154,11 +153,12 @@ impl std::error::Error for ObserveError {}
 ///
 /// The estimate is "last zone seen", expiring after `staleness_s` without
 /// a new observation — room-level tracking with an honest unknown state.
-/// History is held in a [`ZoneHistoryIndex`] of per-object time-ordered
-/// runs, so historical [`LocationTracker::location_of`] and
+/// Estimates and history live in one [`ZoneHistoryIndex`] entry per
+/// object, so an observation costs one map probe, historical
+/// [`LocationTracker::location_of`] and
 /// [`LocationTracker::objects_in_zone`] queries are one binary search
-/// of the object's run rather than scans, and durable deployments can
-/// evict observations that are already safe in a
+/// of the object's time-ordered run rather than scans, and durable
+/// deployments can evict observations that are already safe in a
 /// [`ZoneHistoryStore`](crate::store::ZoneHistoryStore) via
 /// [`LocationTracker::evict_history_before`].
 ///
@@ -169,7 +169,6 @@ impl std::error::Error for ObserveError {}
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LocationTracker {
     staleness_s: f64,
-    last: BTreeMap<usize, (usize, f64)>,
     history: ZoneHistoryIndex,
 }
 
@@ -184,7 +183,6 @@ impl LocationTracker {
         assert!(staleness_s > 0.0, "staleness must be positive");
         Self {
             staleness_s,
-            last: BTreeMap::new(),
             history: ZoneHistoryIndex::new(),
         }
     }
@@ -197,32 +195,23 @@ impl LocationTracker {
     /// [`ObserveError::NonFiniteTime`] if `time_s` is NaN or infinite;
     /// the tracker is unchanged.
     pub fn observe(&mut self, observation: ZoneObservation) -> Result<(), ObserveError> {
+        self.record(observation).map(|_| ())
+    }
+
+    /// [`LocationTracker::observe`], returning the object's estimate
+    /// from before the observation — the streaming operator face diffs
+    /// against it. The estimate moves unless it is newer: equal times
+    /// resolve to the later call.
+    pub(crate) fn record(
+        &mut self,
+        observation: ZoneObservation,
+    ) -> Result<Option<(usize, f64)>, ObserveError> {
         if !observation.time_s.is_finite() {
             return Err(ObserveError::NonFiniteTime {
                 time_s: observation.time_s,
             });
         }
-        self.note_latest(
-            observation.object.index(),
-            (observation.zone, observation.time_s),
-        );
-        self.history.insert(observation);
-        Ok(())
-    }
-
-    /// Makes `(zone, time_s)` the object's estimate unless the current
-    /// one is newer: equal times resolve to the later call.
-    fn note_latest(&mut self, object: usize, latest: (usize, f64)) {
-        match self.last.entry(object) {
-            Entry::Occupied(mut slot) => {
-                if latest.1 >= slot.get().1 {
-                    slot.insert(latest);
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(latest);
-            }
-        }
+        Ok(self.history.insert(observation))
     }
 
     /// Joins `other` into this tracker. The result equals feeding
@@ -234,9 +223,6 @@ impl LocationTracker {
     /// disjoint objects — the shards of one ingest plane — it is a
     /// plain move.
     pub fn absorb(&mut self, other: LocationTracker) {
-        for (object, latest) in other.last {
-            self.note_latest(object, latest);
-        }
         self.history.absorb(other.history);
     }
 
@@ -257,10 +243,12 @@ impl LocationTracker {
         Ok(())
     }
 
-    /// The latest `(zone, time)` known for an object, if any — the live
-    /// estimate the streaming operator face diffs against.
-    pub(crate) fn last_zone_time(&self, object: usize) -> Option<(usize, f64)> {
-        self.last.get(&object).copied()
+    /// The object's live estimate: the `(zone, time_s)` of its newest
+    /// observation, whatever its staleness, or `None` if it was never
+    /// seen. Eviction keeps it.
+    #[must_use]
+    pub fn latest(&self, object: ObjectHandle) -> Option<(usize, f64)> {
+        self.history.latest(object)
     }
 
     /// The object's zone as of `now_s`: the most recent observation at
@@ -272,18 +260,12 @@ impl LocationTracker {
     /// Live queries (`now_s` at or past the object's newest
     /// observation) are answered in `O(log objects)` from the running
     /// estimate; historical queries add one binary search of the
-    /// object's history run. Observations evicted by
-    /// [`LocationTracker::evict_history_before`] no longer answer
-    /// historical queries (durable deployments route those to the
-    /// store).
+    /// object's history run, in the same map probe. Observations
+    /// evicted by [`LocationTracker::evict_history_before`] no longer
+    /// answer historical queries (durable deployments route those to
+    /// the store).
     #[must_use]
     pub fn location_of(&self, object: ObjectHandle, now_s: f64) -> Option<usize> {
-        let (zone, time_s) = self.last_zone_time(object.index())?;
-        if now_s >= time_s {
-            // The newest observation is already at or before now_s, so it
-            // is the maximum the index probe below would find.
-            return (now_s - time_s <= self.staleness_s).then_some(zone);
-        }
         let (zone, time_s) = self.history.latest_at(object, now_s)?;
         (now_s - time_s <= self.staleness_s).then_some(zone)
     }
@@ -312,20 +294,16 @@ impl LocationTracker {
 
     /// Objects estimated to be in `zone` as of `now_s` (point-in-time,
     /// like [`LocationTracker::location_of`]), ascending by handle.
-    /// At most one history-run probe per tracked object.
+    /// One pass over the tracked objects, with at most one history-run
+    /// search each.
     #[must_use]
     pub fn objects_in_zone(&self, zone: usize, now_s: f64) -> Vec<ObjectHandle> {
-        self.last
-            .iter()
-            .filter_map(|(&object, &(last_zone, last_time))| {
-                let handle = ObjectHandle::from_index(object);
-                let (found_zone, found_time) = if now_s >= last_time {
-                    (last_zone, last_time)
-                } else {
-                    self.history.latest_at(handle, now_s)?
-                };
-                (now_s - found_time <= self.staleness_s && found_zone == zone).then_some(handle)
+        self.history
+            .each_latest_at(now_s)
+            .filter(|&(_, (found_zone, found_time))| {
+                now_s - found_time <= self.staleness_s && found_zone == zone
             })
+            .map(|(handle, _)| handle)
             .collect()
     }
 }

@@ -236,11 +236,13 @@ pub fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
     Ok(record)
 }
 
-/// The CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup
-/// table, built at compile time so the checksum is a pure function of
-/// the bytes.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`)
+/// slicing-by-8 tables, built at compile time so the checksum is a pure
+/// function of the bytes. `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so one lookup per table advances the CRC over eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -253,19 +255,46 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`: the per-record integrity check framing
-/// every store append.
+/// every store append and campaign checkpoint. Eight bytes per step
+/// (slicing-by-8), then the bytewise loop over the last `len % 8`; the
+/// result equals the bytewise CRC exactly, so the on-disk format does
+/// not depend on which loop computed it.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -273,6 +302,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_records() -> Vec<Record> {
         let object = ObjectHandle::from_index(7);
@@ -346,11 +376,49 @@ mod tests {
         assert!(decode_record(&[]).is_err());
     }
 
+    /// The bytewise table loop `crc32` replaced: the reference the
+    /// sliced loop must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &byte in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+        // Longer than one eight-byte step, with a remainder.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    proptest! {
+        /// The sliced CRC equals the bytewise reference for every
+        /// length in `0..=64` at every start offset within an
+        /// eight-byte word, over arbitrary bytes.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 72),
+        ) {
+            for start in 0..8 {
+                for len in 0..=64 {
+                    let slice = &bytes[start..start + len];
+                    prop_assert_eq!(
+                        crc32(slice),
+                        crc32_bytewise(slice),
+                        "start {} len {}", start, len
+                    );
+                }
+            }
+        }
     }
 }

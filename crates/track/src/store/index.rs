@@ -1,13 +1,21 @@
 //! The in-memory time index over zone observations.
 //!
-//! [`ZoneHistoryIndex`] holds the retained history of the live
-//! [`LocationTracker`](crate::LocationTracker): one time-ordered run
-//! per object, so a point-in-time question — "where was this object at
-//! `t`?" — is one binary search of that object's run, a time-ordered
-//! feed appends without searching, and eviction cuts a prefix per run.
-//! Runs are keyed by object in a `BTreeMap`, never a vector indexed by
-//! object id, so no allocation is sized by an id a store segment or a
-//! wire record can choose.
+//! [`ZoneHistoryIndex`] is the state of the live
+//! [`LocationTracker`](crate::LocationTracker): one entry per object,
+//! holding both the object's live estimate (its newest observation)
+//! and its retained history as one time-ordered run. Recording an
+//! observation is one map probe: the same `entry` call reads the
+//! previous estimate, updates it and appends to (or inserts into) the
+//! run. A point-in-time question — "where was this object at `t`?" —
+//! is answered by the estimate when `t` is at or past it and by one
+//! binary search of the run otherwise. Entries outlive eviction,
+//! because the estimate does; eviction visits only the objects that
+//! still hold history, found through a list the recording probe keeps,
+//! cuts a prefix of each run and frees the buffer of a run it empties,
+//! so an object without history holds only its entry. Entries are
+//! keyed by object in a `BTreeMap`, never a vector indexed by object
+//! id, so no allocation is sized by an id a store segment or a wire
+//! record can choose.
 //!
 //! Runs compare `f64` times directly: non-finite times are rejected
 //! upstream (the tracker's `observe` and the store's `append` both
@@ -43,7 +51,7 @@ pub fn time_key(time_s: f64) -> u64 {
     }
 }
 
-/// One retained observation of an object; the object is its run's key.
+/// One retained observation of an object; the object is its entry's key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct IndexEntry {
     zone: usize,
@@ -51,9 +59,50 @@ struct IndexEntry {
     inferred: bool,
 }
 
-/// The retained zone history of many objects: one time-ordered run per
-/// object, supporting `O(log run)` point-in-time queries, an append
-/// fast path and prefix eviction.
+/// Everything the index holds for one object.
+#[derive(Debug, Clone, PartialEq)]
+struct ObjectTrack {
+    /// The live estimate: the `(zone, time_s)` of the newest
+    /// observation, equal times resolving to the later one. Its time is
+    /// at or after every time in `run`.
+    latest: (usize, f64),
+    /// Retained history ordered by `(time, feed order)`; eviction that
+    /// cuts all of it frees its buffer.
+    run: VecDeque<IndexEntry>,
+}
+
+impl ObjectTrack {
+    /// Records `entry` after every retained observation at or before
+    /// its time, and makes it the estimate unless the estimate is
+    /// newer. Returns the estimate from before.
+    fn record(&mut self, entry: IndexEntry) -> (usize, f64) {
+        let previous = self.latest;
+        if entry.time_s >= previous.1 {
+            // At or after the estimate, hence after the whole run.
+            self.latest = (entry.zone, entry.time_s);
+            self.run.push_back(entry);
+        } else {
+            let after = self.run.partition_point(|held| held.time_s <= entry.time_s);
+            self.run.insert(after, entry);
+        }
+        previous
+    }
+
+    /// The most recent `(zone, time_s)` at or before `now_s`.
+    fn at(&self, now_s: f64) -> Option<(usize, f64)> {
+        if now_s >= self.latest.1 {
+            return Some(self.latest);
+        }
+        let at_or_before = self.run.partition_point(|entry| entry.time_s <= now_s);
+        let entry = self.run.get(at_or_before.checked_sub(1)?)?;
+        Some((entry.zone, entry.time_s))
+    }
+}
+
+/// The live estimate and retained zone history of many objects: one
+/// entry per object, supporting one-probe recording, `O(log run)`
+/// point-in-time queries and prefix eviction whose cost follows the
+/// objects that hold history.
 ///
 /// Within a run, observations are ordered by time and observations at
 /// equal times keep their feed order. The index is therefore a
@@ -61,11 +110,25 @@ struct IndexEntry {
 /// the same per-object sequences compare equal however those sequences
 /// were interleaved, which is what lets disjoint shards be joined by
 /// [`ZoneHistoryIndex::absorb`] into the index a single feed builds.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Equality compares what the index answers — every estimate and
+/// retained run — and not the order of its eviction list, which
+/// follows the interleaving.
+#[derive(Debug, Clone, Default)]
 pub struct ZoneHistoryIndex {
-    /// Only objects that still hold history have a run; none is empty.
-    runs: BTreeMap<usize, VecDeque<IndexEntry>>,
+    /// Every object ever recorded; an entry outlives eviction.
+    objects: BTreeMap<usize, ObjectTrack>,
+    /// The objects whose run is non-empty, each once: what eviction
+    /// visits. An object joins when an observation lands in its empty
+    /// run and leaves when eviction empties the run.
+    holding: Vec<usize>,
+    /// Retained observations across all runs.
     len: usize,
+}
+
+impl PartialEq for ZoneHistoryIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.objects == other.objects
+    }
 }
 
 impl ZoneHistoryIndex {
@@ -75,23 +138,26 @@ impl ZoneHistoryIndex {
         Self::default()
     }
 
-    /// Number of indexed observations.
+    /// Number of retained observations.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the index holds no observations.
+    /// Whether the index retains no observations.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Inserts one observation after every observation of its object
-    /// whose time is at or before its own. An observation at or after
-    /// its object's newest time is pushed without a search. The caller
-    /// must have rejected non-finite times (debug-asserted here).
-    pub fn insert(&mut self, observation: ZoneObservation) {
+    /// Records one observation with a single map probe, returning the
+    /// object's previous estimate (`None` the first time the object is
+    /// seen). The observation lands after every retained observation
+    /// of its object at or before its time — at or after the estimate
+    /// it is pushed without a search — and becomes the estimate unless
+    /// the estimate is newer. The caller must have rejected non-finite
+    /// times (debug-asserted here).
+    pub fn insert(&mut self, observation: ZoneObservation) -> Option<(usize, f64)> {
         debug_assert!(
             observation.time_s.is_finite(),
             "non-finite times must be rejected before indexing"
@@ -101,39 +167,65 @@ impl ZoneHistoryIndex {
             time_s: observation.time_s,
             inferred: observation.inferred,
         };
-        let run = self.runs.entry(observation.object.index()).or_default();
-        if run
-            .back()
-            .is_none_or(|newest| entry.time_s >= newest.time_s)
-        {
-            run.push_back(entry);
-        } else {
-            let after = run.partition_point(|held| held.time_s <= entry.time_s);
-            run.insert(after, entry);
-        }
         self.len += 1;
+        let object = observation.object.index();
+        match self.objects.entry(object) {
+            Entry::Vacant(slot) => {
+                slot.insert(ObjectTrack {
+                    latest: (entry.zone, entry.time_s),
+                    run: VecDeque::from([entry]),
+                });
+                self.holding.push(object);
+                None
+            }
+            Entry::Occupied(mut slot) => {
+                let track = slot.get_mut();
+                if track.run.is_empty() {
+                    self.holding.push(object);
+                }
+                Some(track.record(entry))
+            }
+        }
+    }
+
+    /// The object's live estimate: the `(zone, time_s)` of its newest
+    /// observation, kept through eviction.
+    #[must_use]
+    pub fn latest(&self, object: ObjectHandle) -> Option<(usize, f64)> {
+        self.objects.get(&object.index()).map(|track| track.latest)
     }
 
     /// The most recent `(zone, time_s)` for `object` at or before
-    /// `now_s`: one binary search of the object's run. Ties at the same
-    /// time resolve to the latest-fed observation, matching a forward
-    /// scan that keeps `time_s <= now_s` maxima with `>=` updates. A
-    /// `NaN` query time compares false everywhere and finds nothing.
+    /// `now_s`: the estimate when `now_s` is at or past it, otherwise
+    /// one binary search of the object's run. Ties at the same time
+    /// resolve to the latest-fed observation, matching a forward scan
+    /// that keeps `time_s <= now_s` maxima with `>=` updates. Evicted
+    /// observations answer nothing, and a `NaN` query time compares
+    /// false everywhere and finds nothing.
     #[must_use]
     pub fn latest_at(&self, object: ObjectHandle, now_s: f64) -> Option<(usize, f64)> {
-        let run = self.runs.get(&object.index())?;
-        let at_or_before = run.partition_point(|entry| entry.time_s <= now_s);
-        let entry = run.get(at_or_before.checked_sub(1)?)?;
-        Some((entry.zone, entry.time_s))
+        self.objects.get(&object.index())?.at(now_s)
+    }
+
+    /// Every object with its [`ZoneHistoryIndex::latest_at`] answer at
+    /// `now_s`, ascending by handle; objects with no answer are
+    /// skipped. One pass over the entries, no further map probes.
+    pub fn each_latest_at(
+        &self,
+        now_s: f64,
+    ) -> impl Iterator<Item = (ObjectHandle, (usize, f64))> + '_ {
+        self.objects.iter().filter_map(move |(&object, track)| {
+            Some((ObjectHandle::from_index(object), track.at(now_s)?))
+        })
     }
 
     /// Every retained observation of `object`, ordered by `(time, feed
     /// order)`.
     pub fn history_of(&self, object: ObjectHandle) -> impl Iterator<Item = ZoneObservation> + '_ {
-        self.runs
+        self.objects
             .get(&object.index())
             .into_iter()
-            .flatten()
+            .flat_map(|track| &track.run)
             .map(move |entry| ZoneObservation {
                 object,
                 zone: entry.zone,
@@ -143,21 +235,29 @@ impl ZoneHistoryIndex {
     }
 
     /// Removes every observation strictly older than `cutoff_s`,
-    /// returning how many were evicted. Each run loses a prefix found
-    /// by binary search and runs left empty are dropped, so the cost
-    /// follows the objects that still hold history, not the entries.
-    /// Used by durable deployments to bound live memory once
-    /// observations are safely on disk.
+    /// returning how many were evicted. Only the objects holding
+    /// history are visited: each run's prefix is cut at a binary
+    /// search, and entries stay, so the estimates survive. A run this
+    /// empties gives its buffer back. Used by durable deployments to
+    /// bound live memory once observations are safely on disk.
     pub fn evict_before(&mut self, cutoff_s: f64) -> usize {
         if !cutoff_s.is_finite() {
             return 0;
         }
+        let objects = &mut self.objects;
         let mut evicted = 0;
-        self.runs.retain(|_, run| {
-            let stale = run.partition_point(|entry| entry.time_s < cutoff_s);
-            run.drain(..stale);
+        self.holding.retain(|object| {
+            let Some(track) = objects.get_mut(object) else {
+                return false;
+            };
+            let stale = track.run.partition_point(|entry| entry.time_s < cutoff_s);
             evicted += stale;
-            !run.is_empty()
+            if stale == track.run.len() {
+                track.run = VecDeque::new();
+                return false;
+            }
+            track.run.drain(..stale);
+            true
         });
         self.len -= evicted;
         evicted
@@ -166,16 +266,29 @@ impl ZoneHistoryIndex {
     /// Joins `other` into this index. The result equals inserting
     /// `other`'s observations after this index's: per object, a stable
     /// merge that puts each of `other`'s observations after every one
-    /// here at or before its time. A run whose object this index does
-    /// not hold is moved in whole.
+    /// here at or before its time, and `other`'s estimate replaces this
+    /// one unless this one is newer. An object this index does not hold
+    /// is moved in whole.
     pub fn absorb(&mut self, other: ZoneHistoryIndex) {
         self.len += other.len;
-        for (object, later) in other.runs {
-            match self.runs.entry(object) {
+        for (object, later) in other.objects {
+            match self.objects.entry(object) {
                 Entry::Vacant(slot) => {
+                    if !later.run.is_empty() {
+                        self.holding.push(object);
+                    }
                     slot.insert(later);
                 }
-                Entry::Occupied(mut slot) => merge_after(slot.get_mut(), later),
+                Entry::Occupied(mut slot) => {
+                    let track = slot.get_mut();
+                    if track.run.is_empty() && !later.run.is_empty() {
+                        self.holding.push(object);
+                    }
+                    if later.latest.1 >= track.latest.1 {
+                        track.latest = later.latest;
+                    }
+                    merge_after(&mut track.run, later.run);
+                }
             }
         }
     }
@@ -237,8 +350,9 @@ mod tests {
         let mut registry = ObjectRegistry::new();
         let case = registry.register("case");
         let mut index = ZoneHistoryIndex::new();
-        index.insert(obs(case, 1, 2.0));
-        index.insert(obs(case, 2, 2.0));
+        assert_eq!(index.insert(obs(case, 1, 2.0)), None, "first sight");
+        assert_eq!(index.insert(obs(case, 2, 2.0)), Some((1, 2.0)));
+        assert_eq!(index.latest(case), Some((2, 2.0)));
         assert_eq!(index.latest_at(case, 2.0), Some((2, 2.0)));
         assert_eq!(index.latest_at(case, 1.9), None);
         assert_eq!(index.latest_at(case, f64::NAN), None);
@@ -260,7 +374,49 @@ mod tests {
         assert_eq!(index.evict_before(f64::NAN), 0);
         assert_eq!(index.evict_before(10.0), 2);
         assert!(index.is_empty());
-        assert_eq!(index.latest_at(b, 10.0), None, "emptied runs are dropped");
+        assert_eq!(index.history_of(b).count(), 0);
+        assert_eq!(index.latest_at(a, 2.5), None, "emptied runs answer nothing");
+        assert_eq!(
+            index.latest_at(b, 10.0),
+            Some((1, 2.0)),
+            "the estimate outlives eviction"
+        );
+        index.insert(obs(b, 3, 11.0));
+        assert_eq!(index.len(), 1, "an emptied run refills");
+        assert_eq!(index.latest_at(b, 10.5), None);
+    }
+
+    #[test]
+    fn eviction_visits_only_holders_and_frees_emptied_runs() {
+        let mut registry = ObjectRegistry::new();
+        let hot = registry.register("hot");
+        let quiet = registry.register("quiet");
+        let mut index = ZoneHistoryIndex::new();
+        index.insert(obs(hot, 0, 1.0));
+        index.insert(obs(quiet, 1, 1.0));
+        index.insert(obs(hot, 0, 3.0));
+        assert_eq!(index.holding, [hot.index(), quiet.index()]);
+        assert_eq!(index.evict_before(2.0), 2);
+        assert_eq!(
+            index.holding,
+            [hot.index()],
+            "an emptied run leaves the list"
+        );
+        let capacity = |index: &ZoneHistoryIndex, object: ObjectHandle| {
+            index.objects[&object.index()].run.capacity()
+        };
+        assert_eq!(capacity(&index, quiet), 0, "and gives its buffer back");
+        assert!(capacity(&index, hot) > 0);
+        assert_eq!(index.latest(quiet), Some((1, 1.0)), "the estimate stays");
+        index.insert(obs(quiet, 2, 5.0));
+        assert_eq!(
+            index.holding,
+            [hot.index(), quiet.index()],
+            "a refilled run rejoins"
+        );
+        assert_eq!(index.evict_before(4.0), 1);
+        assert_eq!(index.holding, [quiet.index()]);
+        assert_eq!(index.history_of(quiet).count(), 1);
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! with explicit torn-tail semantics, and a per-object span index over
 //! segments (keyed by [`index::time_key`]) answering
 //! `location_at(object, t)` point queries in `O(log n)` probes plus one
-//! bounded segment read. Replay streams the log one segment at a time
-//! ([`ZoneHistoryStore::visit_segments`]).
+//! bounded segment read. Each object's spans are one flat list, sorted
+//! by construction because segments close in order and appends are
+//! time-ordered, so indexing a segment pushes and a query is one
+//! `partition_point`. Replay streams the log one segment at a time
+//! ([`ZoneHistoryStore::visit_segments`]); every segment it reads is
+//! checked again, CRC and decode, exactly as recovery checked it.
 //!
 //! # On-disk format
 //!
@@ -196,11 +200,12 @@ pub struct ZoneHistoryStore {
     config: StoreConfig,
     closed: Vec<ClosedSegment>,
     /// Per object: `(first time key in segment, segment index)` for
-    /// every *closed* segment containing it. Appends are time-ordered,
-    /// so within one object these pairs are lexicographically sorted
-    /// by segment index too — `range(..).next_back()` lands on the
-    /// newest segment whose first observation is at or before `t`.
-    spans: BTreeMap<usize, BTreeMap<(u64, u32), ()>>,
+    /// every *closed* segment containing it. Spans are pushed in
+    /// segment order and appends are time-ordered, so each list is
+    /// sorted by both fields by construction — a `partition_point`
+    /// lands on the newest segment whose first observation is at or
+    /// before `t`.
+    spans: BTreeMap<usize, Vec<(u64, u32)>>,
     open: Option<OpenSegment>,
     next_seq: u64,
     high_s: Option<f64>,
@@ -462,9 +467,8 @@ impl ZoneHistoryStore {
             if let Record::Observation(observation) = record {
                 let object = observation.object.index();
                 let span = self.spans.entry(object).or_default();
-                let current = span.keys().next_back().map(|&(_, segment)| segment);
-                if current != Some(index) {
-                    span.insert((time_key(observation.time_s), index), ());
+                if span.last().is_none_or(|&(_, segment)| segment != index) {
+                    span.push((time_key(observation.time_s), index));
                 }
             }
         }
@@ -671,7 +675,8 @@ impl ZoneHistoryStore {
         let Some(span) = self.spans.get(&object.index()) else {
             return Ok(None);
         };
-        let Some((&(_, segment), ())) = span.range(..=(bound, u32::MAX)).next_back() else {
+        let at_or_before = span.partition_point(|&(key, _)| key <= bound);
+        let Some(&(_, segment)) = span[..at_or_before].last() else {
             return Ok(None);
         };
         let records = self.read_closed(segment)?;
@@ -693,7 +698,7 @@ impl ZoneHistoryStore {
     pub fn history_of(&self, object: ObjectHandle) -> Result<Vec<ZoneObservation>, StoreError> {
         let mut out = Vec::new();
         if let Some(span) = self.spans.get(&object.index()) {
-            for &(_, segment) in span.keys() {
+            for &(_, segment) in span {
                 out.extend(self.read_closed(segment)?.iter().filter_map(|r| match r {
                     Record::Observation(o) if o.object == object => Some(*o),
                     _ => None,

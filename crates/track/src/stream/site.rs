@@ -105,10 +105,9 @@ impl Operator for LocationTracker {
     type Out = ZoneTransition;
 
     fn push(&mut self, input: ZoneObservation) -> Vec<ZoneTransition> {
-        let previous = self.last_zone_time(input.object.index());
-        if self.observe(input).is_err() {
+        let Ok(previous) = self.record(input) else {
             return Vec::new();
-        }
+        };
         let moved = match previous {
             None => Some(None),
             Some((zone, time_s)) if input.time_s >= time_s && input.zone != zone => {

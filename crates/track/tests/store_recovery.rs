@@ -11,10 +11,12 @@
 //! recovered log.
 
 use proptest::prelude::*;
+use rfid_gen2::Epc96;
+use rfid_sim::ReadEvent;
 use rfid_track::store::Record;
 use rfid_track::{
-    ObjectHandle, ObjectRegistry, StoreConfig, StoreError, ZoneHistoryStore, ZoneObservation,
-    ZoneTransition,
+    ObjectHandle, ObjectRegistry, RecoveryReport, StoreConfig, StoreError, ZoneHistoryStore,
+    ZoneObservation, ZoneTransition,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -104,6 +106,63 @@ fn reopen(dir: &Path, per_segment: usize) -> Result<ZoneHistoryStore, StoreError
     )
 }
 
+/// A closed four-record segment, byte for byte, written out from the
+/// on-disk format (header, then `[len][CRC-32][payload]` frames) rather
+/// than by the store: it pins the segment layout, the record codec and
+/// the checksum against any change to the code that produces them.
+const GOLDEN_SEGMENT: [u8; 179] = [
+    // Header: magic "RZH1", segment index 0, base sequence 0.
+    0x52, 0x5a, 0x48, 0x31, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    // Frame 0: length 45, CRC-32 0xdd25f33c. Read: time 0.5, reader 1,
+    // antenna 2, tag 3, EPC 0x0123456789abcdef01234567.
+    0x2d, 0x00, 0x00, 0x00, 0x3c, 0xf3, 0x25, 0xdd, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0,
+    0x3f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x67, 0x45, 0x23, 0x01, 0xef, 0xcd, 0xab,
+    0x89, 0x67, 0x45, 0x23, 0x01,
+    // Frame 1: length 26, CRC-32 0x37818e79. Observation: object 4,
+    // zone 1, time 0.5, not inferred.
+    0x1a, 0x00, 0x00, 0x00, 0x79, 0x8e, 0x81, 0x37, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0,
+    0x3f, 0x00,
+    // Frame 2: length 26, CRC-32 0xadb87ec9. Observation: object 5,
+    // zone 2, time 1.25, inferred.
+    0x1a, 0x00, 0x00, 0x00, 0xc9, 0x7e, 0xb8, 0xad, 0x02, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4,
+    0x3f, 0x01,
+    // Frame 3: length 34, CRC-32 0x8c87dcf7. Transition: object 4, from
+    // zone 1 to zone 3, time 2.0.
+    0x22, 0x00, 0x00, 0x00, 0xf7, 0xdc, 0x87, 0x8c, 0x03, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,
+];
+
+/// The records [`GOLDEN_SEGMENT`] holds, in append order.
+fn golden_records() -> Vec<Record> {
+    let objects = handles(6);
+    vec![
+        Record::Read(ReadEvent {
+            time_s: 0.5,
+            reader: 1,
+            antenna: 2,
+            tag: 3,
+            epc: Epc96::from_u128(0x0123_4567_89ab_cdef_0123_4567),
+        }),
+        observation(objects[4], 1, 0.5),
+        Record::Observation(ZoneObservation {
+            object: objects[5],
+            zone: 2,
+            time_s: 1.25,
+            inferred: true,
+        }),
+        Record::Transition(ZoneTransition {
+            object: objects[4],
+            from: Some(1),
+            to: 3,
+            time_s: 2.0,
+        }),
+    ]
+}
+
 #[test]
 fn clean_reopen_is_bit_identical() {
     let dir = store_dir("clean");
@@ -113,6 +172,42 @@ fn clean_reopen_is_bit_identical() {
     assert_eq!(store.recovery().records, 10);
     assert_eq!(store.records().expect("read back"), records);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_golden_segment_opens_to_its_records_and_reappends_byte_for_byte() {
+    let dir = store_dir("golden-open");
+    fs::create_dir_all(&dir).expect("create store dir");
+    fs::write(segment_path(&dir, 0), GOLDEN_SEGMENT).expect("write golden segment");
+    let store = reopen(&dir, 4).expect("the golden segment opens");
+    assert_eq!(
+        store.recovery(),
+        RecoveryReport {
+            segments: 1,
+            records: 4,
+            truncated_bytes: 0,
+        }
+    );
+    assert_eq!(store.records().expect("read back"), golden_records());
+    let objects = handles(6);
+    assert_eq!(
+        store.location_at(objects[5], 1.5).expect("query"),
+        Some((2, 1.25))
+    );
+
+    let fresh = store_dir("golden-append");
+    let mut appended = reopen(&fresh, 4).expect("open fresh store");
+    for record in &golden_records() {
+        appended.append(record).expect("append");
+    }
+    appended.flush().expect("flush");
+    assert_eq!(
+        fs::read(segment_path(&fresh, 0)).expect("read appended segment"),
+        GOLDEN_SEGMENT,
+        "re-appending the records reproduces the segment byte for byte"
+    );
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&fresh);
 }
 
 #[test]
@@ -325,7 +420,10 @@ proptest! {
 
     /// `location_at` over the segmented index answers exactly like a
     /// linear scan of the full record log, for every object and for
-    /// query times on, between, before, and after the observations.
+    /// query times on, between, before, and after the observations —
+    /// both on the store that wrote the log, whose spans were built as
+    /// segments rotated, and on a fresh reopen, whose spans recovery
+    /// rebuilt. `history_of` on both is the object's feed.
     #[test]
     fn location_at_matches_a_full_history_scan(
         plan in proptest::collection::vec((0usize..3, 0usize..4, 0u8..3), 1..40),
@@ -350,18 +448,28 @@ proptest! {
             fed.push(obs);
         }
         store.flush().expect("flush");
+        let reopened = reopen(&dir, per_segment).expect("reopen");
 
         // Probe a grid of times straddling every observation, plus one
         // query before the first and one after the last.
         let at_s = -0.25 + (probe as f64) * 0.25;
         for object in &objects {
-            let got = store.location_at(*object, at_s).expect("query");
             // Reference: the last append at or before `at_s`.
             let want = fed
                 .iter()
                 .rfind(|o| o.object == *object && o.time_s <= at_s)
                 .map(|o| (o.zone, o.time_s));
-            prop_assert_eq!(got, want, "object {:?} at {}", object, at_s);
+            let history: Vec<ZoneObservation> =
+                fed.iter().copied().filter(|o| o.object == *object).collect();
+            for (side, queried) in [("written", &store), ("reopened", &reopened)] {
+                let got = queried.location_at(*object, at_s).expect("query");
+                prop_assert_eq!(got, want, "{} store: object {:?} at {}", side, object, at_s);
+                prop_assert_eq!(
+                    &queried.history_of(*object).expect("history"),
+                    &history,
+                    "{} store: object {:?}", side, object
+                );
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -6,12 +6,17 @@
 //! is only an optimization if it is *undetectable*: these properties
 //! pin both queries to a naive full-history reference scan over
 //! arbitrary (including out-of-order) finite feeds, pin eviction to a
-//! filter of the time-sorted feed, pin `absorb` to one tracker fed the
-//! concatenated feeds, and pin the typed rejection of non-finite times
-//! that replaced the old panicking `expect`.
+//! filter of the time-sorted feed and, interleaved with observations,
+//! to a per-object model, pin `absorb` to one tracker fed the
+//! concatenated feeds, pin the transitions the operator face emits to
+//! an oracle over the feed, and pin the typed rejection of non-finite
+//! times that replaced the old panicking `expect`.
 
 use proptest::prelude::*;
-use rfid_track::{LocationTracker, ObjectHandle, ObjectRegistry, ObserveError, ZoneObservation};
+use rfid_track::stream::Operator;
+use rfid_track::{
+    LocationTracker, ObjectHandle, ObjectRegistry, ObserveError, ZoneObservation, ZoneTransition,
+};
 
 const OBJECTS: usize = 3;
 const STALENESS_S: f64 = 4.0;
@@ -72,7 +77,80 @@ fn scan_location(fed: &[ZoneObservation], object: ObjectHandle, now_s: f64) -> O
     (now_s - time_s <= STALENESS_S).then_some(zone)
 }
 
+/// A time from a small grid, so ties are common, or one of the values
+/// a grid cannot produce: `-0.0` (equal to the grid's `0.0`), `NaN`
+/// and both infinities.
+fn grid_or_non_finite(step: u8) -> f64 {
+    match step {
+        0..=19 => f64::from(step) * 0.5,
+        20 => -0.0,
+        21 => f64::NAN,
+        22 => f64::INFINITY,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// Reference transitions, one slot per fed observation. The estimate
+/// before observation `i` comes from a scan of the object's earlier
+/// finite observations: the last-fed among those with the greatest
+/// time. A first finite sight moves from nothing; an observation at or
+/// after the estimate's time in another zone moves from the estimate;
+/// anything else, and every non-finite time, moves nothing.
+fn oracle_transitions(fed: &[ZoneObservation]) -> Vec<Option<ZoneTransition>> {
+    fed.iter()
+        .enumerate()
+        .map(|(i, obs)| {
+            if !obs.time_s.is_finite() {
+                return None;
+            }
+            let mut estimate: Option<(usize, f64)> = None;
+            for earlier in &fed[..i] {
+                if earlier.object == obs.object
+                    && earlier.time_s.is_finite()
+                    && estimate.is_none_or(|(_, time_s)| earlier.time_s >= time_s)
+                {
+                    estimate = Some((earlier.zone, earlier.time_s));
+                }
+            }
+            let from = match estimate {
+                None => None,
+                Some((zone, time_s)) if obs.time_s >= time_s && obs.zone != zone => Some(zone),
+                Some(_) => return None,
+            };
+            Some(ZoneTransition {
+                object: obs.object,
+                from,
+                to: obs.zone,
+                time_s: obs.time_s,
+            })
+        })
+        .collect()
+}
+
 proptest! {
+    /// `Operator::push` emits exactly the oracle's transitions over
+    /// arbitrary out-of-order feeds with ties and non-finite times.
+    #[test]
+    fn push_emits_exactly_the_oracle_transitions(
+        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..3, 0u8..24), 0..64),
+    ) {
+        let objects = handles();
+        let fed: Vec<ZoneObservation> = plan
+            .iter()
+            .map(|&(object, zone, step)| ZoneObservation {
+                object: objects[object],
+                zone,
+                time_s: grid_or_non_finite(step),
+                inferred: false,
+            })
+            .collect();
+        let mut tracker = LocationTracker::new(STALENESS_S);
+        for (i, (obs, want)) in fed.iter().zip(oracle_transitions(&fed)).enumerate() {
+            let want: Vec<ZoneTransition> = want.into_iter().collect();
+            prop_assert_eq!(tracker.push(*obs), want, "push {}: {:?}", i, obs);
+        }
+    }
+
     /// The indexed `location_of` equals the reference scan for every
     /// object at probe times before, between, at, and after the feed.
     #[test]
@@ -165,6 +243,65 @@ proptest! {
             prop_assert_eq!(got, want, "object {:?} cut at {}", object, cutoff_s);
         }
         prop_assert_eq!(live(&tracker), before);
+    }
+
+    /// Evictions interleaved with observations — runs emptied,
+    /// refilled and emptied again, late observations landing behind a
+    /// cutoff — keep exactly what a per-object model keeps, report
+    /// exactly what it removes, and leave shard trackers whose union
+    /// still evicts like the single tracker.
+    #[test]
+    fn interleaved_evictions_match_a_per_object_model(
+        steps in proptest::collection::vec(
+            (0u8..5, 0usize..OBJECTS, 0usize..4, 0u8..40),
+            0..64,
+        ),
+    ) {
+        let objects = handles();
+        let mut tracker = LocationTracker::new(STALENESS_S);
+        let mut shards = [LocationTracker::new(STALENESS_S), LocationTracker::new(STALENESS_S)];
+        let mut model: Vec<Vec<ZoneObservation>> = vec![Vec::new(); OBJECTS];
+        for &(kind, object, zone, time) in &steps {
+            if kind == 0 {
+                let cutoff_s = f64::from(time) * 0.25;
+                let mut stale = 0;
+                for run in &mut model {
+                    let before = run.len();
+                    run.retain(|o| o.time_s >= cutoff_s);
+                    stale += before - run.len();
+                }
+                prop_assert_eq!(tracker.evict_history_before(cutoff_s), stale);
+                for shard in &mut shards {
+                    shard.evict_history_before(cutoff_s);
+                }
+            } else {
+                let observation = ZoneObservation {
+                    object: objects[object],
+                    zone,
+                    time_s: f64::from(time / 2) * 0.5,
+                    inferred: false,
+                };
+                let run = &mut model[object];
+                let after = run.partition_point(|o| o.time_s <= observation.time_s);
+                run.insert(after, observation);
+                tracker.observe(observation).expect("finite time");
+                shards[object % 2].observe(observation).expect("finite time");
+            }
+            prop_assert_eq!(tracker.history_len(), model.iter().map(Vec::len).sum::<usize>());
+        }
+        for (object, run) in objects.iter().zip(&model) {
+            let got: Vec<ZoneObservation> = tracker.history_of(*object).collect();
+            prop_assert_eq!(&got, run);
+        }
+        let [mut union, other] = shards;
+        union.absorb(other);
+        prop_assert_eq!(&union, &tracker);
+        let cutoff_s = steps.last().map_or(0.0, |&(_, _, _, time)| f64::from(time) * 0.25);
+        prop_assert_eq!(
+            union.evict_history_before(cutoff_s),
+            tracker.evict_history_before(cutoff_s)
+        );
+        prop_assert_eq!(union, tracker);
     }
 
     /// `absorb` equals one tracker fed the concatenated feeds, whether

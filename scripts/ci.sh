@@ -21,6 +21,9 @@ cargo run -q -p rfid-audit -- --list-allows
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# The API docs build with warnings denied, so a doc link to a renamed,
+# moved or private item fails the gate instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 cargo build --release --examples
 cargo test --workspace -q
