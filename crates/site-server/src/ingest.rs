@@ -193,7 +193,9 @@ impl<'a> SharedIngest<'a> {
     /// # Errors
     ///
     /// Propagates [`StoreError`] if the recovered log cannot be read
-    /// back.
+    /// back, and returns [`StoreError::UnknownZone`] for the first
+    /// stored observation whose zone is not one of `site`'s: segment
+    /// bytes are hostile input, and every query answer names its zone.
     pub fn with_store(
         site: &'a Site,
         registry: &'a ObjectRegistry,
@@ -213,12 +215,28 @@ impl<'a> SharedIngest<'a> {
             .map(|slot| slot.state.get_mut().unwrap_or_else(PoisonError::into_inner))
             .collect();
         let lanes = shards.len();
+        let zones = site.zone_count();
         let mut recovered = 0u64;
+        // `visit_segments` visits segment 0 first and each segment once.
+        let mut segment = 0u32;
+        let mut unknown_zone = None;
         store.visit_segments(|records| {
+            let index = segment;
+            segment += 1;
+            if unknown_zone.is_some() {
+                return;
+            }
             for record in records {
                 let Record::Observation(observation) = record else {
                     continue;
                 };
+                if observation.zone >= zones {
+                    unknown_zone = Some(StoreError::UnknownZone {
+                        index,
+                        zone: observation.zone,
+                    });
+                    return;
+                }
                 let shard = &mut shards[shard_of(observation.object.index() as u64, lanes)];
                 let emitted = shard.tracker.push(*observation);
                 shard.transitions.extend(
@@ -237,6 +255,9 @@ impl<'a> SharedIngest<'a> {
                 }
             }
         })?;
+        if let Some(err) = unknown_zone {
+            return Err(err);
+        }
         {
             let state = ingest
                 .state
@@ -838,8 +859,9 @@ impl<'a> SharedIngest<'a> {
         transitions.sort_by_key(|&(seq, _)| seq);
         counters.transitions = transitions.len() as u64;
         if let Some(store) = state.store.as_ref() {
-            // `push` drops non-finite times instead of erroring; stored
-            // times were validated at append, so nothing is dropped here.
+            // `push` drops non-finite times and out-of-range zones
+            // instead of erroring; stored times were validated at append
+            // and stored zones by `with_store`, so nothing is dropped.
             let replayed = store.visit_observations(|observation| {
                 let _ = tracker.push(observation);
             });
@@ -1100,6 +1122,41 @@ mod tests {
                 ingest.is_durable()
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stored observation in a zone the site lacks would panic every
+    /// query that names it; `with_store` refuses the store instead,
+    /// naming the first segment that holds such a zone.
+    #[test]
+    fn with_store_refuses_a_zone_the_site_lacks() {
+        let (site, registry, epcs) = world();
+        let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
+        let case = registry.object_of(epcs[0]).expect("case 0");
+        let dir = temp_dir("unknown-zone");
+        let mut store = ZoneHistoryStore::open(
+            &dir,
+            StoreConfig {
+                records_per_segment: 2,
+            },
+        )
+        .expect("open");
+        for (zone, time_s) in [(0, 1.0), (1, 2.0), (1, 3.0), (2, 4.0), (9, 5.0)] {
+            store
+                .append(&Record::Observation(ZoneObservation {
+                    object: case,
+                    zone,
+                    time_s,
+                    inferred: false,
+                }))
+                .expect("append");
+        }
+        store.flush().expect("flush");
+        let refused = SharedIngest::with_store(&site, &registry, &adapters, 100.0, 2, store);
+        assert_eq!(
+            refused.err(),
+            Some(StoreError::UnknownZone { index: 1, zone: 2 })
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,10 @@ use rfid_gen2::Epc96;
 use rfid_readerapi::WireEventAdapter;
 use rfid_sim::ReadEvent;
 use rfid_site_server::{run_portal, QueryClient, RpcError, ServerConfig, SiteServer};
-use rfid_track::{LocationTracker, ObjectRegistry, Site, StoreConfig, ZoneHistoryStore};
+use rfid_track::store::Record;
+use rfid_track::{
+    LocationTracker, ObjectRegistry, Site, StoreConfig, ZoneHistoryStore, ZoneObservation,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -310,5 +313,56 @@ fn hostile_query_times_are_errors_not_panics() {
         daemon.join().expect("daemon thread")
     })
     .expect("server run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Segment bytes are hostile input: a CRC-valid observation may name a
+/// zone the daemon's site does not have, and every query about its
+/// object would then panic naming it. A daemon booted on such a store
+/// must refuse it, naming the segment and the zone, before it serves.
+#[test]
+fn a_store_with_a_zone_the_site_lacks_is_refused_at_boot() {
+    let world = world();
+    let dir = store_dir("unknown-zone");
+    let case = world.registry.object_of(world.epc).expect("registered");
+    let mut store = ZoneHistoryStore::open(
+        &dir,
+        StoreConfig {
+            records_per_segment: 2,
+        },
+    )
+    .expect("open store");
+    // Segment 0 holds the dock and the aisle; segment 1 holds zone 7.
+    for (zone, time_s) in [(0, 0.0), (1, 1.0), (7, 2.0)] {
+        store
+            .append(&Record::Observation(ZoneObservation {
+                object: case,
+                zone,
+                time_s,
+                inferred: false,
+            }))
+            .expect("append");
+    }
+    store.flush().expect("flush");
+    drop(store);
+    // Recovery accepts every frame: the store is sound, but not this
+    // site's.
+    let reopened = ZoneHistoryStore::open(&dir, StoreConfig::default()).expect("reopen store");
+    assert_eq!(reopened.len(), 3);
+    drop(reopened);
+
+    let mut config = ServerConfig::new("store-token");
+    config.store_dir = Some(dir.clone());
+    let server = SiteServer::new(&world.site, &world.registry, &world.adapters, config);
+    let reader_listener = TcpListener::bind("127.0.0.1:0").expect("bind reader port");
+    let query_listener = TcpListener::bind("127.0.0.1:0").expect("bind query port");
+    // Raised before the run: a daemon that boots drains at once.
+    let shutdown = AtomicBool::new(true);
+    let booted = server.run(&reader_listener, &query_listener, &shutdown);
+    let refused = booted.expect_err("the daemon must not boot on the store");
+    assert_eq!(
+        refused.to_string(),
+        "segment 1 holds zone 7, which the site does not have"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

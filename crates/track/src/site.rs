@@ -10,6 +10,7 @@
 
 use crate::constraints::ZoneObservation;
 use crate::registry::{ObjectHandle, ObjectRegistry};
+use crate::store::index::MAX_ZONE;
 use crate::store::ZoneHistoryIndex;
 use crate::stream::Operator;
 use rfid_sim::ReadEvent;
@@ -127,13 +128,20 @@ impl Site {
 /// non-finite timestamp has no place in the tracker's total order over
 /// times, so it is rejected at the boundary instead of poisoning every
 /// later query (the historical scan used to `expect` finiteness and
-/// could panic the daemon's query path).
+/// could panic the daemon's query path). A zone the tracker's history
+/// cannot hold is rejected the same way, never truncated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ObserveError {
     /// The observation carries a NaN or infinite `time_s`.
     NonFiniteTime {
         /// The offending timestamp.
         time_s: f64,
+    },
+    /// The observation's zone is above 2³¹ − 1: a retained observation
+    /// keeps its zone and inferred flag in one `u32`.
+    ZoneOutOfRange {
+        /// The offending zone.
+        zone: usize,
     },
 }
 
@@ -142,6 +150,9 @@ impl fmt::Display for ObserveError {
         match self {
             ObserveError::NonFiniteTime { time_s } => {
                 write!(f, "observation time {time_s} is not finite")
+            }
+            ObserveError::ZoneOutOfRange { zone } => {
+                write!(f, "observation zone {zone} is above {MAX_ZONE}")
             }
         }
     }
@@ -192,8 +203,9 @@ impl LocationTracker {
     ///
     /// # Errors
     ///
-    /// [`ObserveError::NonFiniteTime`] if `time_s` is NaN or infinite;
-    /// the tracker is unchanged.
+    /// [`ObserveError::NonFiniteTime`] if `time_s` is NaN or infinite,
+    /// [`ObserveError::ZoneOutOfRange`] if `zone` is above 2³¹ − 1; the
+    /// tracker is unchanged.
     pub fn observe(&mut self, observation: ZoneObservation) -> Result<(), ObserveError> {
         self.record(observation).map(|_| ())
     }
@@ -209,6 +221,11 @@ impl LocationTracker {
         if !observation.time_s.is_finite() {
             return Err(ObserveError::NonFiniteTime {
                 time_s: observation.time_s,
+            });
+        }
+        if observation.zone > MAX_ZONE {
+            return Err(ObserveError::ZoneOutOfRange {
+                zone: observation.zone,
             });
         }
         Ok(self.history.insert(observation))

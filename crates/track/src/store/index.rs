@@ -17,16 +17,22 @@
 //! id, so no allocation is sized by an id a store segment or a wire
 //! record can choose.
 //!
+//! A retained observation costs 12 bytes: its `f64` time and one
+//! `u32` holding the zone and the inferred flag. Zones above
+//! 2³¹ − 1 do not fit and are rejected upstream (the tracker's
+//! `observe` returns a typed error) rather than truncated.
+//!
 //! Runs compare `f64` times directly: non-finite times are rejected
 //! upstream (the tracker's `observe` and the store's `append` both
 //! return typed errors), and over finite times `f64` order is total
 //! (with `-0.0` and `+0.0` equal). [`time_key`] maps a time to an
-//! order-preserving `u64` for the store's per-segment span index.
+//! order-preserving `u64` for the store's per-segment first keys.
 
 use crate::constraints::ZoneObservation;
 use crate::registry::ObjectHandle;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 /// Maps a finite time to a `u64` whose unsigned order matches `f64`
 /// order; `-0.0` is identified with `+0.0` so the two equal times get
@@ -51,12 +57,55 @@ pub fn time_key(time_s: f64) -> u64 {
     }
 }
 
-/// One retained observation of an object; the object is its entry's key.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The largest zone an [`IndexEntry`] holds: its `u32` keeps one bit
+/// for the inferred flag.
+pub(crate) const MAX_ZONE: usize = (u32::MAX >> 1) as usize;
+
+/// One retained observation of an object; the object is its entry's
+/// key. The time, then `zone << 1 | inferred` in one `u32`, packed to
+/// 4-byte alignment so a run spends 12 bytes per observation. Fields
+/// are only ever read by value. Equality compares the time as `f64`,
+/// so `-0.0` and `+0.0` entries are equal.
+#[derive(Clone, Copy, PartialEq)]
+#[repr(C, packed(4))]
 struct IndexEntry {
-    zone: usize,
     time_s: f64,
-    inferred: bool,
+    zone_inferred: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 12);
+
+impl IndexEntry {
+    /// Packs one observation; the caller must have rejected zones above
+    /// [`MAX_ZONE`] (debug-asserted here).
+    fn new(observation: &ZoneObservation) -> Self {
+        debug_assert!(
+            observation.zone <= MAX_ZONE,
+            "out-of-range zones must be rejected before indexing"
+        );
+        Self {
+            time_s: observation.time_s,
+            zone_inferred: (observation.zone as u32) << 1 | u32::from(observation.inferred),
+        }
+    }
+
+    fn zone(self) -> usize {
+        (self.zone_inferred >> 1) as usize
+    }
+
+    fn inferred(self) -> bool {
+        self.zone_inferred & 1 == 1
+    }
+}
+
+impl fmt::Debug for IndexEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IndexEntry")
+            .field("zone", &self.zone())
+            .field("time_s", &{ self.time_s })
+            .field("inferred", &self.inferred())
+            .finish()
+    }
 }
 
 /// Everything the index holds for one object.
@@ -79,7 +128,7 @@ impl ObjectTrack {
         let previous = self.latest;
         if entry.time_s >= previous.1 {
             // At or after the estimate, hence after the whole run.
-            self.latest = (entry.zone, entry.time_s);
+            self.latest = (entry.zone(), entry.time_s);
             self.run.push_back(entry);
         } else {
             let after = self.run.partition_point(|held| held.time_s <= entry.time_s);
@@ -95,7 +144,7 @@ impl ObjectTrack {
         }
         let at_or_before = self.run.partition_point(|entry| entry.time_s <= now_s);
         let entry = self.run.get(at_or_before.checked_sub(1)?)?;
-        Some((entry.zone, entry.time_s))
+        Some((entry.zone(), entry.time_s))
     }
 }
 
@@ -156,23 +205,20 @@ impl ZoneHistoryIndex {
     /// of its object at or before its time — at or after the estimate
     /// it is pushed without a search — and becomes the estimate unless
     /// the estimate is newer. The caller must have rejected non-finite
-    /// times (debug-asserted here).
-    pub fn insert(&mut self, observation: ZoneObservation) -> Option<(usize, f64)> {
+    /// times and zones above [`MAX_ZONE`] (debug-asserted here), as
+    /// [`LocationTracker`](crate::LocationTracker) does.
+    pub(crate) fn insert(&mut self, observation: ZoneObservation) -> Option<(usize, f64)> {
         debug_assert!(
             observation.time_s.is_finite(),
             "non-finite times must be rejected before indexing"
         );
-        let entry = IndexEntry {
-            zone: observation.zone,
-            time_s: observation.time_s,
-            inferred: observation.inferred,
-        };
+        let entry = IndexEntry::new(&observation);
         self.len += 1;
         let object = observation.object.index();
         match self.objects.entry(object) {
             Entry::Vacant(slot) => {
                 slot.insert(ObjectTrack {
-                    latest: (entry.zone, entry.time_s),
+                    latest: (observation.zone, observation.time_s),
                     run: VecDeque::from([entry]),
                 });
                 self.holding.push(object);
@@ -226,11 +272,11 @@ impl ZoneHistoryIndex {
             .get(&object.index())
             .into_iter()
             .flat_map(|track| &track.run)
-            .map(move |entry| ZoneObservation {
+            .map(move |&entry| ZoneObservation {
                 object,
-                zone: entry.zone,
+                zone: entry.zone(),
                 time_s: entry.time_s,
-                inferred: entry.inferred,
+                inferred: entry.inferred(),
             })
     }
 
@@ -417,6 +463,39 @@ mod tests {
         assert_eq!(index.evict_before(4.0), 1);
         assert_eq!(index.holding, [quiet.index()]);
         assert_eq!(index.history_of(quiet).count(), 1);
+    }
+
+    #[test]
+    fn entries_pack_zone_and_flag_losslessly() {
+        let mut registry = ObjectRegistry::new();
+        let case = registry.register("case");
+        let fed = [
+            (0, 0.0, false),
+            (0, 0.5, true),
+            (1, 1.0, false),
+            (MAX_ZONE - 1, 1.5, true),
+            (MAX_ZONE, 2.0, false),
+            (MAX_ZONE, 2.5, true),
+        ];
+        let mut index = ZoneHistoryIndex::new();
+        for (zone, time_s, inferred) in fed {
+            index.insert(ZoneObservation {
+                object: case,
+                zone,
+                time_s,
+                inferred,
+            });
+        }
+        let held: Vec<(usize, f64, bool)> = index
+            .history_of(case)
+            .map(|o| (o.zone, o.time_s, o.inferred))
+            .collect();
+        assert_eq!(held, fed);
+        assert_eq!(index.latest_at(case, 2.25), Some((MAX_ZONE, 2.0)));
+        assert_eq!(MAX_ZONE, (1 << 31) - 1);
+        let zero = IndexEntry::new(&obs(case, 3, 0.0));
+        assert_eq!(zero, IndexEntry::new(&obs(case, 3, -0.0)), "-0.0 == +0.0");
+        assert_ne!(zero, IndexEntry::new(&obs(case, 2, 0.0)));
     }
 
     #[test]

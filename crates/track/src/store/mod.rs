@@ -6,14 +6,17 @@
 //! append-only, segmented log of [`Record`]s with per-record CRC-32
 //! framing, deterministic serialization ([`codec`]), crash recovery
 //! with explicit torn-tail semantics, and a per-object span index over
-//! segments (keyed by [`index::time_key`]) answering
-//! `location_at(object, t)` point queries in `O(log n)` probes plus one
-//! bounded segment read. Each object's spans are one flat list, sorted
-//! by construction because segments close in order and appends are
-//! time-ordered, so indexing a segment pushes and a query is one
-//! `partition_point`. Replay streams the log one segment at a time
-//! ([`ZoneHistoryStore::visit_segments`]); every segment it reads is
-//! checked again, CRC and decode, exactly as recovery checked it.
+//! segments answering `location_at(object, t)` point queries in
+//! `O(log n)` probes plus at most two bounded segment reads. Each
+//! object's span is one flat list of the closed segments holding it,
+//! 4 bytes each, sorted by construction because segments close in
+//! order, so indexing a segment pushes. Each closed segment keeps the
+//! time key ([`index::time_key`]) of its first record; appends are
+//! time-ordered, so those keys rise with the segments and a query is
+//! one `partition_point` over them. Replay streams the log one segment
+//! at a time ([`ZoneHistoryStore::visit_segments`]); every segment it
+//! reads is checked again, CRC and decode, exactly as recovery checked
+//! it.
 //!
 //! # On-disk format
 //!
@@ -135,6 +138,15 @@ pub enum StoreError {
         /// The store's current high-water time.
         high_s: f64,
     },
+    /// Segment `index` holds an observation in `zone`, which the site
+    /// replaying the store does not have. The store cannot know its
+    /// site's zones; a replay that does refuses the store with this.
+    UnknownZone {
+        /// The segment holding the observation.
+        index: u32,
+        /// The zone the site does not have.
+        zone: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -158,6 +170,12 @@ impl fmt::Display for StoreError {
                     "record time {time_s} is behind the store high-water time {high_s}"
                 )
             }
+            StoreError::UnknownZone { index, zone } => {
+                write!(
+                    f,
+                    "segment {index} holds zone {zone}, which the site does not have"
+                )
+            }
         }
     }
 }
@@ -176,8 +194,30 @@ fn io_error(path: &Path, err: &std::io::Error) -> StoreError {
 struct ClosedSegment {
     base_seq: u64,
     records: u64,
+    /// The time key of the segment's first record: no record of a
+    /// later segment is older. An empty segment holds no object, so no
+    /// span lists it and its key (`u64::MAX`) is never read.
+    first_key: u64,
     path: PathBuf,
 }
+
+impl ClosedSegment {
+    fn new(base_seq: u64, records: &[Record], path: PathBuf) -> Self {
+        Self {
+            base_seq,
+            records: records.len() as u64,
+            first_key: records
+                .first()
+                .map_or(u64::MAX, |record| time_key(record.time_s())),
+            path,
+        }
+    }
+}
+
+/// A closed segment's index as a span lists it.
+type SegmentId = u32;
+
+const _: () = assert!(std::mem::size_of::<SegmentId>() == 4);
 
 /// The segment currently accepting appends. Its records stay in memory
 /// (bounded by [`StoreConfig::records_per_segment`]) so queries over
@@ -199,13 +239,11 @@ pub struct ZoneHistoryStore {
     dir: PathBuf,
     config: StoreConfig,
     closed: Vec<ClosedSegment>,
-    /// Per object: `(first time key in segment, segment index)` for
-    /// every *closed* segment containing it. Spans are pushed in
-    /// segment order and appends are time-ordered, so each list is
-    /// sorted by both fields by construction — a `partition_point`
-    /// lands on the newest segment whose first observation is at or
-    /// before `t`.
-    spans: BTreeMap<usize, Vec<(u64, u32)>>,
+    /// Per object: every *closed* segment containing it, ascending.
+    /// Segments close in order and their first keys rise with them, so
+    /// a `partition_point` over the listed segments' first keys lands
+    /// on the newest one that starts at or before `t`.
+    spans: BTreeMap<usize, Vec<SegmentId>>,
     open: Option<OpenSegment>,
     next_seq: u64,
     high_s: Option<f64>,
@@ -452,23 +490,20 @@ impl ZoneHistoryStore {
                     .map_err(|e| io_error(&path, &e))?;
             }
             self.index_closed_segment(index, &parsed.records);
-            self.closed.push(ClosedSegment {
-                base_seq,
-                records: parsed.records.len() as u64,
-                path,
-            });
+            self.closed
+                .push(ClosedSegment::new(base_seq, &parsed.records, path));
         }
         Ok(())
     }
 
-    /// Records each object's first time key in a freshly closed segment.
-    fn index_closed_segment(&mut self, index: u32, records: &[Record]) {
+    /// Lists a freshly closed segment in the span of each object it
+    /// holds.
+    fn index_closed_segment(&mut self, index: SegmentId, records: &[Record]) {
         for record in records {
             if let Record::Observation(observation) = record {
-                let object = observation.object.index();
-                let span = self.spans.entry(object).or_default();
-                if span.last().is_none_or(|&(_, segment)| segment != index) {
-                    span.push((time_key(observation.time_s), index));
+                let span = self.spans.entry(observation.object.index()).or_default();
+                if span.last() != Some(&index) {
+                    span.push(index);
                 }
             }
         }
@@ -566,11 +601,8 @@ impl ZoneHistoryStore {
         };
         open.writer.flush().map_err(|e| io_error(&open.path, &e))?;
         self.index_closed_segment(open.index, &open.records);
-        self.closed.push(ClosedSegment {
-            base_seq: open.base_seq,
-            records: open.records.len() as u64,
-            path: open.path,
-        });
+        self.closed
+            .push(ClosedSegment::new(open.base_seq, &open.records, open.path));
         Ok(())
     }
 
@@ -640,14 +672,17 @@ impl ZoneHistoryStore {
     }
 
     /// The most recent observed `(zone, time_s)` for `object` at or
-    /// before `at_s`: the store-backed point query. One `O(log n)`
-    /// span probe selects the segment; one bounded segment read (or
-    /// the in-memory tail) resolves the answer. `NaN` query times
-    /// return `None`.
+    /// before `at_s`: the store-backed point query. The in-memory tail
+    /// answers first; otherwise one `O(log n)` span probe selects the
+    /// newest listed segment that starts at or before `at_s`. That
+    /// segment may hold the object only after `at_s`; every record of
+    /// the segment listed before it is then at or before `at_s`, so
+    /// that one holds the answer. A query reads at most two segments.
+    /// `NaN` query times return `None`.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] / [`StoreError::CorruptSegment`] if the
+    /// [`StoreError::Io`] / [`StoreError::CorruptSegment`] if a
     /// segment chosen by the index can no longer be read back.
     pub fn location_at(
         &self,
@@ -662,12 +697,7 @@ impl ZoneHistoryStore {
         // every closed segment (appends are time-ordered, ties resolve
         // to the latest append).
         if let Some(open) = &self.open {
-            let hit = open.records.iter().rev().find_map(|record| match record {
-                Record::Observation(o) if o.object == object && time_key(o.time_s) <= bound => {
-                    Some((o.zone, o.time_s))
-                }
-                _ => None,
-            });
+            let hit = newest_at_or_before(&open.records, object, bound);
             if hit.is_some() {
                 return Ok(hit);
             }
@@ -675,17 +705,18 @@ impl ZoneHistoryStore {
         let Some(span) = self.spans.get(&object.index()) else {
             return Ok(None);
         };
-        let at_or_before = span.partition_point(|&(key, _)| key <= bound);
-        let Some(&(_, segment)) = span[..at_or_before].last() else {
-            return Ok(None);
-        };
-        let records = self.read_closed(segment)?;
-        Ok(records.iter().rev().find_map(|record| match record {
-            Record::Observation(o) if o.object == object && time_key(o.time_s) <= bound => {
-                Some((o.zone, o.time_s))
+        let starts_by_bound = span.partition_point(|&segment| {
+            self.closed
+                .get(segment as usize)
+                .is_some_and(|closed| closed.first_key <= bound)
+        });
+        for &segment in span[..starts_by_bound].iter().rev().take(2) {
+            let hit = newest_at_or_before(&self.read_closed(segment)?, object, bound);
+            if hit.is_some() {
+                return Ok(hit);
             }
-            _ => None,
-        }))
+        }
+        Ok(None)
     }
 
     /// Every stored observation of `object`, in append order (which is
@@ -698,7 +729,7 @@ impl ZoneHistoryStore {
     pub fn history_of(&self, object: ObjectHandle) -> Result<Vec<ZoneObservation>, StoreError> {
         let mut out = Vec::new();
         if let Some(span) = self.spans.get(&object.index()) {
-            for &(_, segment) in span {
+            for &segment in span {
                 out.extend(self.read_closed(segment)?.iter().filter_map(|r| match r {
                     Record::Observation(o) if o.object == object => Some(*o),
                     _ => None,
@@ -778,6 +809,21 @@ impl ZoneHistoryStore {
         self.visit_observations(|observation| out.push(observation))?;
         Ok(out)
     }
+}
+
+/// The `(zone, time_s)` of the last observation of `object` in
+/// `records` whose time key is at or before `bound`.
+fn newest_at_or_before(
+    records: &[Record],
+    object: ObjectHandle,
+    bound: u64,
+) -> Option<(usize, f64)> {
+    records.iter().rev().find_map(|record| match record {
+        Record::Observation(o) if o.object == object && time_key(o.time_s) <= bound => {
+            Some((o.zone, o.time_s))
+        }
+        _ => None,
+    })
 }
 
 fn write_header(file: &mut File, path: &Path, index: u32, base_seq: u64) -> Result<(), StoreError> {
@@ -874,6 +920,43 @@ mod tests {
         assert_eq!(store.location_at(case, 99.0).expect("q"), Some((1, 5.0)));
         assert_eq!(store.location_at(case, f64::NAN).expect("q"), None);
         assert_eq!(store.history_of(case).expect("history").len(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The newest listed segment that starts by the query time may hold
+    /// the object only after it; the answer is then the object's last
+    /// observation in the segment listed before.
+    #[test]
+    fn location_at_reads_the_previous_listed_segment_when_the_newest_starts_early() {
+        let dir = temp_dir("fallback");
+        let config = StoreConfig {
+            records_per_segment: 2,
+        };
+        let mut store = ZoneHistoryStore::open(&dir, config).expect("open");
+        let (case, other) = (ObjectHandle::from_index(0), ObjectHandle::from_index(1));
+        // Segments: [case@1, case@2] [other@3, other@4] [other@5, case@7],
+        // then case@8 in the open tail.
+        for (object, zone, time_s) in [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (1, 2, 3.0),
+            (1, 2, 4.0),
+            (1, 2, 5.0),
+            (0, 3, 7.0),
+            (0, 2, 8.0),
+        ] {
+            store
+                .append(&observation(object, zone, time_s))
+                .expect("append");
+        }
+        assert_eq!(store.segment_count(), 4);
+        assert_eq!(store.spans[&0], [0, 2]);
+        assert_eq!(store.spans[&1], [1, 2]);
+        assert_eq!(store.location_at(case, 6.0).expect("q"), Some((1, 2.0)));
+        assert_eq!(store.location_at(case, 7.0).expect("q"), Some((3, 7.0)));
+        assert_eq!(store.location_at(case, 9.0).expect("q"), Some((2, 8.0)));
+        assert_eq!(store.location_at(other, 4.5).expect("q"), Some((2, 4.0)));
+        assert_eq!(store.location_at(case, 0.5).expect("q"), None);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -97,9 +97,10 @@ impl Operator for ObservationStream<'_> {
 /// transition fires when an observation at or after the object's latest
 /// known time lands in a different zone (staleness affects queries, not
 /// transitions). Late out-of-order observations are recorded in history
-/// but never emit. An observation with a non-finite time is dropped
-/// (the typed-error face is [`LocationTracker::observe`]; the operator
-/// face must not panic mid-stream), emitting nothing.
+/// but never emit. An observation with a non-finite time or a zone
+/// above 2³¹ − 1 is dropped (the typed-error face is
+/// [`LocationTracker::observe`]; the operator face must not panic
+/// mid-stream), emitting nothing.
 impl Operator for LocationTracker {
     type In = ZoneObservation;
     type Out = ZoneTransition;
@@ -227,6 +228,10 @@ mod tests {
                 "{bad} must be dropped"
             );
         }
+        assert!(
+            tracker.push(obs(1 << 31, 2.0)).is_empty(),
+            "a zone above 2^31 - 1 must be dropped"
+        );
         assert_eq!(
             tracker.history_of(case).count(),
             1,

@@ -10,7 +10,8 @@
 //! to a per-object model, pin `absorb` to one tracker fed the
 //! concatenated feeds, pin the transitions the operator face emits to
 //! an oracle over the feed, and pin the typed rejection of non-finite
-//! times that replaced the old panicking `expect`.
+//! times that replaced the old panicking `expect`, and of zones too
+//! large for a history entry.
 
 use proptest::prelude::*;
 use rfid_track::stream::Operator;
@@ -350,11 +351,51 @@ fn non_finite_times_are_typed_errors_and_leave_the_tracker_unchanged() {
                 inferred: false,
             })
             .expect_err("non-finite time must be rejected");
-        let ObserveError::NonFiniteTime { time_s } = err;
+        let ObserveError::NonFiniteTime { time_s } = err else {
+            panic!("expected NonFiniteTime, got {err:?}");
+        };
         assert_eq!(time_s.to_bits(), bad.to_bits());
         assert_eq!(tracker, reference, "rejection must not mutate state");
     }
     assert_eq!(tracker.location_of(objects[0], 2.0), Some(1));
+}
+
+/// A retained observation keeps its zone in 31 bits, so a larger zone
+/// is a typed rejection like a non-finite time, never a truncation.
+#[test]
+fn out_of_range_zones_are_typed_errors_and_leave_the_tracker_unchanged() {
+    let objects = handles();
+    let largest = (1usize << 31) - 1;
+    let mut tracker = LocationTracker::new(STALENESS_S);
+    for (zone, inferred) in [(1, false), (largest, true)] {
+        tracker
+            .observe(ZoneObservation {
+                object: objects[0],
+                zone,
+                time_s: 1.0,
+                inferred,
+            })
+            .expect("a zone below 2^31 is held");
+    }
+    let held: Vec<(usize, bool)> = tracker
+        .history_of(objects[0])
+        .map(|o| (o.zone, o.inferred))
+        .collect();
+    assert_eq!(held, [(1, false), (largest, true)]);
+    let reference = tracker.clone();
+    for bad in [largest + 1, usize::MAX] {
+        let err = tracker
+            .observe(ZoneObservation {
+                object: objects[0],
+                zone: bad,
+                time_s: 2.0,
+                inferred: false,
+            })
+            .expect_err("a zone above 2^31 - 1 must be rejected");
+        assert_eq!(err, ObserveError::ZoneOutOfRange { zone: bad });
+        assert_eq!(tracker, reference, "rejection must not mutate state");
+    }
+    assert_eq!(tracker.location_of(objects[0], 2.0), Some(largest));
 }
 
 #[test]

@@ -27,6 +27,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 cargo build --release --examples
 cargo test --workspace -q
+# The tracking crates again under the release profile, which is how the
+# daemon ships: `debug_assert!` guards are compiled out there and the
+# packed history entry is integer arithmetic, so only a release run
+# tests the code that ships.
+cargo test --release -q -p rfid-track -p rfid-site-server
 
 # Drive the runnable demos end-to-end under a wall-clock budget:
 # `quickstart` is the front-door experience, and `reader_emulation`
