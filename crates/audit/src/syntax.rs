@@ -739,7 +739,7 @@ fn parse_impl(sig: &[Token], src: &str, start: usize, kw: usize, hi: usize) -> (
 
 /// The last identifier at angle-depth 0 in `sig[lo..hi]`, skipping type
 /// qualifiers — the simple name of a path like `stream::Operator` or
-/// `&mut shard::ShardExecutor<O>`.
+/// `&mut merge::SessionMerge<T>`.
 fn last_path_ident(sig: &[Token], src: &str, lo: usize, hi: usize) -> Option<String> {
     let mut best = None;
     let mut i = lo;

@@ -33,21 +33,13 @@
 //! ingest over the same shared plane (no TCP), isolating the win from
 //! converting wire records outside the merge lock.
 //!
-//! A fifth section, `sharded_streaming`, scales the EPC-partitioned
-//! parallel data plane: the tracker chain runs at K ∈ {1, 2, 4, 8}
-//! shards over a wide synthetic stream, asserting every K's output
-//! bit-identical to K=1 before reporting its events/second. The curve
-//! is recorded as measured on the build host — a single-core container
-//! shows coordination overhead, not speedup; the bit-identity gate is
-//! what the benchmark *asserts*.
-//!
-//! A sixth section, `store`, measures the durable zone-history store:
+//! A fifth section, `store`, measures the durable zone-history store:
 //! append throughput into the segmented CRC-framed log, `location_at`
 //! point-query latency (p50/p99) against the span index, and cold
 //! recovery time (reopen + replay into a fresh tracker), gated on the
 //! replay being bit-identical to the tracker fed live.
 //!
-//! A seventh section, `fleet_campaign`, drives the campaign engine over
+//! A sixth section, `fleet_campaign`, drives the campaign engine over
 //! a full procedural [`CampaignSpec`] — the `fleet` preset (≥100k
 //! simulated objects) under `--fleet`, `smoke`/`standard` otherwise —
 //! and reports objects/second plus the peak live accumulator bytes (the
@@ -78,10 +70,7 @@ use rfid_site_server::{
     recorded_reads, run_portal, synthetic_world, QueryClient, ServerConfig, SharedIngest,
     SiteServer,
 };
-use rfid_track::stream::{
-    ObservationStream, Operator, ReorderBuffer, ShardExecutor, ShardInput, SightingStream,
-    ZoneTransition,
-};
+use rfid_track::stream::{ObservationStream, Operator, ReorderBuffer, SightingStream};
 use rfid_track::{LocationTracker, ObjectRegistry, Site};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -269,101 +258,6 @@ fn measure_streaming_cases(smoke: bool) -> Vec<StreamingMeasurement> {
                 .then(LocationTracker::new(5.0))
         }),
     ]
-}
-
-struct ShardMeasurement {
-    shards: usize,
-    events: usize,
-    outputs: usize,
-    elapsed_s: f64,
-}
-
-impl ShardMeasurement {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.elapsed_s
-    }
-}
-
-/// A wide world for the sharded plane: 32 objects with two tags each,
-/// so K=8 still gets a balanced partition of the key space.
-fn sharded_world() -> (ObjectRegistry, Site) {
-    let mut registry = ObjectRegistry::new();
-    for object in 0..32u128 {
-        let handle = registry.register(format!("case-{object}"));
-        registry.attach_tag(handle, Epc96::from_u128(object * 2 + 1));
-        registry.attach_tag(handle, Epc96::from_u128(object * 2 + 2));
-    }
-    let mut site = Site::new();
-    let dock = site.add_zone("dock");
-    let aisle = site.add_zone("aisle");
-    site.assign_portal(0, 0, dock);
-    site.assign_portal(0, 1, dock);
-    site.assign_portal(1, 0, aisle);
-    site.assign_portal(1, 1, aisle);
-    (registry, site)
-}
-
-/// Scaling curve of the EPC-partitioned tracker chain: the same input
-/// stream (64 tags round-robin, watermark every 1000 events) runs at
-/// K ∈ {1, 2, 4, 8}, each run asserted bit-identical to K=1 before its
-/// timing counts. Reported as measured on the build host.
-fn measure_sharded_streaming(smoke: bool) -> Vec<ShardMeasurement> {
-    let events = if smoke { 20_000 } else { 200_000 };
-    let repeats = if smoke { 1 } else { 3 };
-    let (registry, site) = sharded_world();
-    let inputs: Vec<ShardInput<ReadEvent>> = (0..events)
-        .flat_map(|i| {
-            let read = ShardInput::Event(ReadEvent {
-                time_s: i as f64 * 1e-3,
-                reader: i % 2,
-                antenna: (i / 2) % 2,
-                tag: i % 64,
-                epc: Epc96::from_u128(i as u128 % 64 + 1),
-            });
-            if i % 1000 == 999 {
-                vec![read, ShardInput::Watermark(i as f64 * 1e-3)]
-            } else {
-                vec![read]
-            }
-        })
-        .collect();
-    let run = |k: usize| {
-        ShardExecutor::with_shards(k).run(
-            inputs.iter().cloned(),
-            |_| ObservationStream::new(&site, &registry).then(LocationTracker::new(5.0)),
-            |read: &ReadEvent| {
-                registry
-                    .object_of(read.epc)
-                    .map_or(0, |object| object.index() as u64)
-            },
-            |transition: &ZoneTransition| transition.object.index() as u64,
-        )
-    };
-    let (reference, _) = run(1);
-    assert!(
-        !reference.is_empty(),
-        "the wide stream must emit transitions"
-    );
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&k| {
-            let mut elapsed_s = f64::INFINITY;
-            let mut outputs = 0;
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let (out, _) = run(k);
-                elapsed_s = elapsed_s.min(start.elapsed().as_secs_f64());
-                assert_eq!(out, reference, "K={k} must be bit-identical to K=1");
-                outputs = out.len();
-            }
-            ShardMeasurement {
-                shards: k,
-                events,
-                outputs,
-                elapsed_s,
-            }
-        })
-        .collect()
 }
 
 struct IngestBatchMeasurement {
@@ -879,7 +773,6 @@ fn main() -> std::process::ExitCode {
 
     let measurements: Vec<Measurement> = cases.iter().map(measure).collect();
     let streaming = measure_streaming_cases(smoke);
-    let sharded = measure_sharded_streaming(smoke);
     let ingest_batching = measure_ingest_batching(smoke);
     let site_server = match measure_site_server(smoke) {
         Ok(m) => m,
@@ -929,19 +822,6 @@ fn main() -> std::process::ExitCode {
             json_f64(m.elapsed_s),
             json_f64(m.events_per_sec()),
             if i + 1 < streaming.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"sharded_streaming\": [\n");
-    for (i, m) in sharded.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"events\": {}, \"outputs\": {}, \
-             \"elapsed_s\": {}, \"events_per_sec\": {}}}{}\n",
-            m.shards,
-            m.events,
-            m.outputs,
-            json_f64(m.elapsed_s),
-            json_f64(m.events_per_sec()),
-            if i + 1 < sharded.len() { "," } else { "" },
         ));
     }
     json.push_str("  ],\n");
@@ -1012,16 +892,6 @@ fn main() -> std::process::ExitCode {
         println!(
             "{}: {} events -> {} outputs in {:.3} s ({:.0} events/s)",
             m.name,
-            m.events,
-            m.outputs,
-            m.elapsed_s,
-            m.events_per_sec(),
-        );
-    }
-    for m in &sharded {
-        println!(
-            "sharded_streaming K={}: {} events -> {} outputs in {:.3} s ({:.0} events/s)",
-            m.shards,
             m.events,
             m.outputs,
             m.elapsed_s,

@@ -1,15 +1,3 @@
-//! Benchmark-only crate: see the `benches/` directory.
-//!
-//! * `paper_tables` — regeneration cost of each paper table.
-//! * `paper_figures` — regeneration cost of each paper figure.
-//! * `substrates` — microbenchmarks of the hot substrate paths (link
-//!   budget, inventory rounds, ray casting, coupling).
-//! * `ablations` — cost/effect of the design choices DESIGN.md calls out
-//!   (occlusion ray-casting, interference assessment, Q-algorithm
-//!   settings, fading granularity).
-//! * `executor` — the trial engine: serial vs cached vs threaded, and
-//!   the channel-memo win on a moving-tag cart pass.
-//!
 //! The `bench_snapshot` binary (`cargo run --release -p rfid-bench --bin
 //! bench_snapshot -- BENCH_<date>.json`) times the memoized hot path
 //! against the unmemoized reference on both a moving and a static

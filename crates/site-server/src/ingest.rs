@@ -132,7 +132,7 @@ impl<'a> SharedIngest<'a> {
     /// fresh per-shard tracker chain with the given staleness horizon.
     /// `shards` is the parallel application width; `0` selects the
     /// machine's available parallelism. Every shard count produces the
-    /// same final report, bit for bit.
+    /// same report `tracker`, `transitions` and `counters`, bit for bit.
     #[must_use]
     pub fn new(
         site: &'a Site,
@@ -1040,32 +1040,36 @@ mod tests {
         assert_eq!(report.transitions.len(), 1);
     }
 
+    /// A release answers queries at once, whether its object's shard
+    /// is the only one (K=1) or most shards hold nothing (K=3, K=8).
     #[test]
     fn queries_answer_from_released_state() {
         let (site, registry, epcs) = world();
         let adapters: Vec<_> = (0..2)
             .map(|r| WireEventAdapter::new(r, epcs.iter().copied()))
             .collect();
-        let ingest = SharedIngest::new(&site, &registry, &adapters, 100.0, 3);
-        ingest.attach(0).expect("lane 0");
-        ingest.attach(1).expect("lane 1");
-        ingest.ingest_records(0, &[record(epcs[0], 1.0)]);
-        // Lane 1 silent: nothing released yet.
-        assert_eq!(ingest.location_of(&epcs[0].to_string()), Ok(None));
-        ingest.ingest_records(1, &[record(epcs[0], 3.0)]);
-        // Floor is now min(1.0, 3.0) = 1.0: still nothing strictly below.
-        ingest.ingest_records(0, &[record(epcs[1], 2.5)]);
-        // Lane 0 watermark 2.5, lane 1 watermark 3.0: t=1.0 released.
-        let location = ingest.location_of(&epcs[0].to_string()).expect("known epc");
-        assert_eq!(location, Some((0, "dock".to_owned())));
-        assert!(ingest.location_of("junk").is_err());
-        assert!(ingest
-            .location_of("000000000000000000000FFF")
-            .unwrap_err()
-            .contains("not a registered tag"));
-        let history = ingest.zone_history(&epcs[0].to_string()).expect("history");
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].1, "dock");
+        for shards in [1, 3, 8] {
+            let ingest = SharedIngest::new(&site, &registry, &adapters, 100.0, shards);
+            ingest.attach(0).expect("lane 0");
+            ingest.attach(1).expect("lane 1");
+            ingest.ingest_records(0, &[record(epcs[0], 1.0)]);
+            // Lane 1 silent: nothing released yet.
+            assert_eq!(ingest.location_of(&epcs[0].to_string()), Ok(None));
+            ingest.ingest_records(1, &[record(epcs[0], 3.0)]);
+            // Floor is now min(1.0, 3.0) = 1.0: still nothing strictly below.
+            ingest.ingest_records(0, &[record(epcs[1], 2.5)]);
+            // Lane 0 watermark 2.5, lane 1 watermark 3.0: t=1.0 released.
+            let location = ingest.location_of(&epcs[0].to_string()).expect("known epc");
+            assert_eq!(location, Some((0, "dock".to_owned())), "shards = {shards}");
+            assert!(ingest.location_of("junk").is_err());
+            assert!(ingest
+                .location_of("000000000000000000000FFF")
+                .unwrap_err()
+                .contains("not a registered tag"));
+            let history = ingest.zone_history(&epcs[0].to_string()).expect("history");
+            assert_eq!(history.len(), 1, "shards = {shards}");
+            assert_eq!(history[0].1, "dock");
+        }
     }
 
     #[test]

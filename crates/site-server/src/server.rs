@@ -36,7 +36,8 @@ pub struct ServerConfig {
     pub session_deadline: Duration,
     /// Parallel application shards in the ingest plane; `0` selects
     /// the machine's available parallelism. Any value yields the same
-    /// final report, bit for bit.
+    /// report `tracker`, `transitions` and `counters`, bit for bit;
+    /// `shard_counters` has one entry per shard.
     pub shards: usize,
     /// Directory for the durable zone-history store. `None` keeps the
     /// run in-memory; `Some` opens (or recovers) a

@@ -31,7 +31,7 @@ pub use constraints::{AccompanyStream, RouteStream};
 pub use merge::{MergeError, SessionMerge};
 pub use operator::{Chain, Operator};
 pub use reorder::{ReorderBuffer, Timestamped};
-pub use shard::{shard_of, ShardCounters, ShardExecutor, ShardInput, ShardedChain};
+pub use shard::{shard_of, ShardCounters};
 pub use sightings::SightingStream;
 pub use site::{ObservationStream, ZoneTransition};
 pub use smoothing::{AdaptiveStream, SmoothingStream};

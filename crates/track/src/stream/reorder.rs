@@ -9,8 +9,7 @@
 //! of the full batch would produce.
 
 use crate::stream::Operator;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use rfid_sim::EventQueue;
 
 /// An event carrying an event time, usable with [`ReorderBuffer`].
 pub trait Timestamped {
@@ -45,44 +44,9 @@ impl Timestamped for crate::stream::ZoneTransition {
 impl Timestamped for crate::Sighting {
     /// A sighting is timestamped by its *first* read: that is the
     /// order [`crate::stream::SightingStream`] emits in (first-seen
-    /// time, object index) and the key the sharded egress merge sorts
-    /// by.
+    /// time, object index).
     fn time_s(&self) -> f64 {
         self.first_s
-    }
-}
-
-/// Min-heap entry: earliest time first, arrival order breaking ties —
-/// the same tie-break as a stable sort by time over arrival order.
-#[derive(Debug, Clone)]
-struct Entry<T> {
-    time_s: f64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_s == other.time_s && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for Entry<T> {}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop earliest first.
-        other
-            .time_s
-            .partial_cmp(&self.time_s)
-            .expect("event times must not be NaN")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -113,8 +77,9 @@ impl<T> PartialOrd for Entry<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReorderBuffer<T> {
-    heap: BinaryHeap<Entry<T>>,
-    next_seq: u64,
+    /// Held events in `(time, arrival)` order: the queue's FIFO
+    /// tie-break is the stable sort's.
+    queue: EventQueue<T>,
     watermark_s: f64,
 }
 
@@ -129,8 +94,7 @@ impl<T> ReorderBuffer<T> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            queue: EventQueue::new(),
             watermark_s: f64::NEG_INFINITY,
         }
     }
@@ -138,13 +102,13 @@ impl<T> ReorderBuffer<T> {
     /// Events currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// Whether no events are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// The current watermark.
@@ -166,12 +130,7 @@ impl<T: Timestamped> Operator for ReorderBuffer<T> {
             "event at {time_s} s arrived behind the watermark {} s",
             self.watermark_s
         );
-        self.heap.push(Entry {
-            time_s,
-            seq: self.next_seq,
-            item: input,
-        });
-        self.next_seq += 1;
+        self.queue.schedule(time_s, input);
         Vec::new()
     }
 
@@ -179,19 +138,20 @@ impl<T: Timestamped> Operator for ReorderBuffer<T> {
         assert!(!watermark_s.is_nan(), "watermark must not be NaN");
         self.watermark_s = self.watermark_s.max(watermark_s);
         let mut out = Vec::new();
-        while let Some(head) = self.heap.peek() {
-            if head.time_s >= self.watermark_s {
-                break;
-            }
-            out.push(self.heap.pop().expect("peeked entry exists").item);
+        while self
+            .queue
+            .peek_time()
+            .is_some_and(|time_s| time_s < self.watermark_s)
+        {
+            out.push(self.queue.pop().expect("peeked entry exists").1);
         }
         out
     }
 
     fn finish(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(entry) = self.heap.pop() {
-            out.push(entry.item);
+        let mut out = Vec::with_capacity(self.queue.len());
+        while let Some((_, item)) = self.queue.pop() {
+            out.push(item);
         }
         out
     }

@@ -1,42 +1,17 @@
-//! EPC/object-partitioned parallel execution of operator chains with a
-//! deterministic k-way egress merge.
+//! Object partitioning for the site daemon's sharded tracker chains.
 //!
-//! A single streaming chain tops out at one core. This module runs K
-//! independent instances of the *same* chain, routes every input to one
-//! instance by a stable partition key (object handle, EPC bits), and
-//! re-merges the K output streams into one canonical order — with the
-//! contract that the merged output is **bit-identical for every K**,
-//! including K = 1. The proof obligations live in
-//! `tests/shard_identity.rs`; DESIGN.md §14 derives why they hold.
-//!
-//! Three pieces:
+//! The daemon's ingest plane (`rfid_site_server::SharedIngest`) applies
+//! the canonical released stream to K tracker chains, one per shard,
+//! routing every event by its object's stable partition key. This
+//! module holds the two pieces that plane shares with its callers:
 //!
 //! * [`shard_of`] — the stable hash-free partitioner (`rfid_sim::mix64`
 //!   modulo the shard count; never a per-process-seeded hasher).
-//! * [`ShardedChain`] — the *serial* sharded plane: an [`Operator`]
-//!   that owns K chain instances and the egress merge. This is the
-//!   reference semantics; K = 1 is the canonical pipeline every other
-//!   configuration is pinned against.
-//! * [`ShardExecutor`] — the *threaded* plane: K scoped worker threads
-//!   (one chain each) fed over bounded channels, plus a merger thread
-//!   draining a shared egress channel through the same merge. Proven
-//!   bit-identical (outputs *and* counters) to [`ShardedChain`].
+//! * [`ShardCounters`] — the per-shard tallies the daemon's `counters`
+//!   RPC reports as `shard<N>_<name>` rows.
 //!
-//! # When is sharding sound?
-//!
-//! The plane is deterministic for any chain, but *K-invariant* only
-//! when the chain is **key-partitionable**: its output for a given
-//! partition key must depend only on the inputs carrying that key
-//! (`ObservationStream → LocationTracker` keyed by object, or
-//! `SightingStream` keyed by object, qualify; a cross-object constraint
-//! checker does not). The egress order key must identify the partition
-//! key (e.g. the object index), so outputs of *different* keys with
-//! equal times order the same way at every K.
-
-use crate::stream::{Operator, Timestamped};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::mpsc;
+//! The proof that every K yields the K = 1 report lives in
+//! `tests/shard_identity.rs`; DESIGN.md §14 derives why it holds.
 
 /// Maps a partition key to a shard index in `0..shards`.
 ///
@@ -56,23 +31,24 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     usize::try_from(rfid_sim::mix64(key) % shards as u64).expect("shard index fits usize")
 }
 
-/// Per-shard operational tallies.
+/// Per-shard tallies of the daemon's ingest plane.
 ///
-/// Deterministic for a given input sequence and drive plan: every
-/// counter is measured at routing and watermark boundaries, not at
-/// channel or scheduling boundaries, so the threaded plane reports the
-/// same numbers as the serial one.
+/// `events_routed` is deterministic: it depends only on the released
+/// stream and the shard count. The other three count what session
+/// threads did when they applied their batches, so they depend on
+/// thread scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardCounters {
-    /// Input events routed to this shard.
+    /// Released events routed to this shard.
     pub events_routed: u64,
-    /// Watermark advances broadcast to this shard's chain.
+    /// Batches this shard applied: one per drain or shutdown flush
+    /// that released at least one of its events.
     pub watermarks_forwarded: u64,
-    /// Outputs still held by the egress merge at watermark
-    /// boundaries, summed over boundaries (a backlog integral: how
-    /// much this shard's output lagged the release floor).
+    /// Applies that had to wait for an earlier ticket of this shard to
+    /// be applied first.
     pub merge_holds: u64,
-    /// Maximum outputs this shard ever had queued in the egress merge.
+    /// The most tickets outstanding on this shard at any apply,
+    /// counting the one being applied.
     pub max_queue_depth: u64,
 }
 
@@ -91,704 +67,9 @@ impl ShardCounters {
     }
 }
 
-/// Min-heap entry of the egress merge. Ordered by
-/// `(time, order key, lane enqueue sequence)`; see [`EgressMerge`] for
-/// why that comparator is K-invariant.
-#[derive(Debug, Clone)]
-struct EgressEntry<T> {
-    time_s: f64,
-    order: u64,
-    lane: usize,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for EgressEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_s == other.time_s
-            && self.order == other.order
-            && self.lane == other.lane
-            && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for EgressEntry<T> {}
-
-impl<T> Ord for EgressEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop earliest first.
-        other
-            .time_s
-            .partial_cmp(&self.time_s)
-            .expect("output times must not be NaN")
-            .then_with(|| other.order.cmp(&self.order))
-            .then_with(|| (other.lane, other.seq).cmp(&(self.lane, self.seq)))
-    }
-}
-
-impl<T> PartialOrd for EgressEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The watermark-keyed k-way egress merge (the `SessionMerge`
-/// discipline, specialised to broadcast watermarks).
-///
-/// Each lane holds one shard's outputs. A lane's watermark advances
-/// when its chain processes a broadcast watermark *and* the chain is
-/// watermark-preserving (a non-preserving chain may still emit
-/// earlier-timed outputs, so its lane floor stays at `-inf` until
-/// finish). Entries release in `(time, order, lane, seq)` order once
-/// strictly below the floor `min(lane watermarks)`.
-///
-/// K-invariance of the release order: outputs of the same partition
-/// key share a lane at every K, and their `seq` order is their chain
-/// emission order, which does not depend on K. Outputs of different
-/// keys are ordered by `(time, order)` alone whenever order keys
-/// identify partition keys — the `(lane, seq)` tail only breaks ties
-/// *within* one key's subsequence, where it is K-invariant.
-#[derive(Debug)]
-struct EgressMerge<T> {
-    heap: BinaryHeap<EgressEntry<T>>,
-    watermarks: Vec<f64>,
-    held: Vec<u64>,
-    next_seq: Vec<u64>,
-    counters: Vec<ShardCounters>,
-}
-
-impl<T> EgressMerge<T> {
-    fn new(lanes: usize) -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            watermarks: vec![f64::NEG_INFINITY; lanes],
-            held: vec![0; lanes],
-            next_seq: vec![0; lanes],
-            counters: vec![ShardCounters::default(); lanes],
-        }
-    }
-
-    /// Queues one output of `lane`. `order` is the egress order key.
-    fn enqueue(&mut self, lane: usize, order: u64, time_s: f64, item: T) {
-        assert!(!time_s.is_nan(), "output times must not be NaN");
-        let seq = self.next_seq[lane];
-        self.next_seq[lane] += 1;
-        self.held[lane] += 1;
-        self.counters[lane].max_queue_depth =
-            self.counters[lane].max_queue_depth.max(self.held[lane]);
-        self.heap.push(EgressEntry {
-            time_s,
-            order,
-            lane,
-            seq,
-            item,
-        });
-    }
-
-    /// Releases every entry strictly below the floor, in merge order.
-    fn release(&mut self) -> Vec<T> {
-        let floor = self
-            .watermarks
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let mut out = Vec::new();
-        while let Some(entry) = self.heap.peek() {
-            if entry.time_s >= floor {
-                break;
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            self.held[entry.lane] -= 1;
-            out.push(entry.item);
-        }
-        out
-    }
-
-    /// Accounts a watermark boundary: each lane's still-held backlog
-    /// is added to its `merge_holds` integral.
-    fn account_boundary(&mut self) {
-        for (lane, &held) in self.held.iter().enumerate() {
-            self.counters[lane].merge_holds += held;
-        }
-    }
-
-    /// Marks every lane complete and drains the heap in merge order.
-    fn finish(&mut self) -> Vec<T> {
-        for watermark in &mut self.watermarks {
-            *watermark = f64::INFINITY;
-        }
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(entry) = self.heap.pop() {
-            self.held[entry.lane] -= 1;
-            out.push(entry.item);
-        }
-        out
-    }
-}
-
-/// The serial sharded plane: K chain instances behind one [`Operator`]
-/// face, re-merged into the canonical egress order.
-///
-/// This is the *reference semantics* of sharded execution — the
-/// threaded [`ShardExecutor`] is pinned bit-identical to it, and its
-/// own K = 1 configuration is the canonical single-shard pipeline the
-/// acceptance proptests compare every K against.
-///
-/// Outputs buffer in the egress merge and release at watermark
-/// boundaries (`advance_watermark` / `finish`), because an output's
-/// global position is only known once every shard has promised to emit
-/// nothing earlier. Working memory is therefore bounded by the
-/// inter-watermark output volume, not the stream length.
-pub struct ShardedChain<Op, KF, OF>
-where
-    Op: Operator,
-{
-    chains: Vec<Op>,
-    key_of: KF,
-    order_of: OF,
-    merge: EgressMerge<Op::Out>,
-    preserving: bool,
-}
-
-impl<Op, KF, OF> ShardedChain<Op, KF, OF>
-where
-    Op: Operator,
-    Op::Out: Timestamped,
-    KF: Fn(&Op::In) -> u64,
-    OF: Fn(&Op::Out) -> u64,
-{
-    /// Builds the plane: `factory(s)` constructs shard `s`'s chain,
-    /// `key_of` extracts the partition key of an input, `order_of` the
-    /// egress order key of an output (it must identify the partition
-    /// key for the merge order to be K-invariant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or the factory produces chains that
-    /// disagree on [`Operator::watermark_preserving`].
-    pub fn new<F>(shards: usize, mut factory: F, key_of: KF, order_of: OF) -> Self
-    where
-        F: FnMut(usize) -> Op,
-    {
-        assert!(shards > 0, "a sharded chain needs at least one shard");
-        let chains: Vec<Op> = (0..shards).map(&mut factory).collect();
-        let preserving = chains[0].watermark_preserving();
-        assert!(
-            chains
-                .iter()
-                .all(|c| c.watermark_preserving() == preserving),
-            "every shard must agree on watermark preservation"
-        );
-        Self {
-            merge: EgressMerge::new(chains.len()),
-            chains,
-            key_of,
-            order_of,
-            preserving,
-        }
-    }
-
-    /// The number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// Per-shard counter snapshot.
-    #[must_use]
-    pub fn counters(&self) -> Vec<ShardCounters> {
-        self.merge.counters.clone()
-    }
-
-    fn enqueue_outputs(&mut self, lane: usize, outs: Vec<Op::Out>) {
-        for out in outs {
-            let order = (self.order_of)(&out);
-            self.merge.enqueue(lane, order, out.time_s(), out);
-        }
-    }
-}
-
-impl<Op, KF, OF> Operator for ShardedChain<Op, KF, OF>
-where
-    Op: Operator,
-    Op::Out: Timestamped,
-    KF: Fn(&Op::In) -> u64,
-    OF: Fn(&Op::Out) -> u64,
-{
-    type In = Op::In;
-    type Out = Op::Out;
-
-    fn push(&mut self, input: Self::In) -> Vec<Self::Out> {
-        let lane = shard_of((self.key_of)(&input), self.chains.len());
-        self.merge.counters[lane].events_routed += 1;
-        let outs = self.chains[lane].push(input);
-        self.enqueue_outputs(lane, outs);
-        // Nothing can release here: the floor only moves on watermarks.
-        Vec::new()
-    }
-
-    fn advance_watermark(&mut self, watermark_s: f64) -> Vec<Self::Out> {
-        for lane in 0..self.chains.len() {
-            let outs = self.chains[lane].advance_watermark(watermark_s);
-            self.merge.counters[lane].watermarks_forwarded += 1;
-            self.enqueue_outputs(lane, outs);
-            if self.preserving {
-                let current = self.merge.watermarks[lane];
-                self.merge.watermarks[lane] = current.max(watermark_s);
-            }
-        }
-        let out = self.merge.release();
-        self.merge.account_boundary();
-        out
-    }
-
-    fn finish(&mut self) -> Vec<Self::Out> {
-        for lane in 0..self.chains.len() {
-            let outs = self.chains[lane].finish();
-            self.enqueue_outputs(lane, outs);
-        }
-        self.merge.finish()
-    }
-
-    fn watermark_preserving(&self) -> bool {
-        self.preserving
-    }
-}
-
-/// One element of a sharded input stream: the events plus the
-/// watermark schedule, in producer order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ShardInput<T> {
-    /// A data event (non-decreasing times, like [`Operator::push`]).
-    Event(T),
-    /// A watermark promise broadcast to every shard.
-    Watermark(f64),
-}
-
-/// Ingress protocol: the router batches events per shard and flushes
-/// at watermark boundaries (and at the batch size cap).
-enum IngressMsg<T> {
-    Batch(Vec<T>),
-    Watermark(f64),
-}
-
-/// Egress protocol: one message per processed ingress message, so the
-/// merger can account watermark boundaries exactly like the serial
-/// plane. `watermarks_forwarded` rides the final message.
-struct EgressMsg<T> {
-    lane: usize,
-    outs: Vec<T>,
-    watermark: Option<f64>,
-    finished: Option<u64>,
-}
-
-/// How many events the router coalesces per ingress send, and the
-/// bound of every channel (in messages). Batching amortises the
-/// per-send synchronisation; the bound keeps memory proportional to
-/// `shards × bound × batch`, not the stream length.
-const BATCH: usize = 256;
-const CHANNEL_BOUND: usize = 64;
-
-/// The threaded sharded plane: K scoped worker threads, one chain
-/// each, fed over bounded channels from the calling thread, drained by
-/// a merger thread through the same egress merge as [`ShardedChain`].
-///
-/// Mirrors [`rfid_sim::TrialExecutor`]'s discipline: scoped threads
-/// (no detached lifetimes), a serial short-circuit at one shard, and
-/// output bit-identical to the serial plane at every shard count —
-/// including the per-shard counters, which are defined at routing and
-/// watermark boundaries rather than scheduling boundaries.
-///
-/// Topology (acyclic, so bounded channels cannot deadlock):
-///
-/// ```text
-/// caller ──route──► K × ingress(bounded) ──► worker ─┐
-///                                                    ├─► egress(bounded) ──► merger ──► output
-///                                                    ┘
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardExecutor {
-    shards: usize,
-}
-
-impl ShardExecutor {
-    /// An executor with an explicit shard count (`0` is treated as `1`).
-    #[must_use]
-    pub const fn with_shards(shards: usize) -> Self {
-        Self {
-            shards: if shards == 0 { 1 } else { shards },
-        }
-    }
-
-    /// The single-shard executor (the serial reference plane).
-    #[must_use]
-    pub const fn serial() -> Self {
-        Self::with_shards(1)
-    }
-
-    /// The number of shards this executor runs.
-    #[must_use]
-    pub const fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Runs a sharded chain over one input stream and returns the
-    /// merged output in canonical egress order plus the per-shard
-    /// counters.
-    ///
-    /// `factory(s)` builds shard `s`'s chain; `key_of` and `order_of`
-    /// are the partition and egress order keys (see [`ShardedChain`]).
-    /// One shard short-circuits to the serial plane on the calling
-    /// thread; otherwise the stream fans out over bounded channels to
-    /// scoped workers and re-merges, bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker or merger thread panics (propagated), or on
-    /// NaN event/output times.
-    pub fn run<Op, F, KF, OF>(
-        &self,
-        inputs: impl IntoIterator<Item = ShardInput<Op::In>>,
-        factory: F,
-        key_of: KF,
-        order_of: OF,
-    ) -> (Vec<Op::Out>, Vec<ShardCounters>)
-    where
-        Op: Operator + Send,
-        Op::In: Send,
-        Op::Out: Timestamped + Send,
-        F: FnMut(usize) -> Op,
-        KF: Fn(&Op::In) -> u64,
-        OF: Fn(&Op::Out) -> u64 + Sync,
-    {
-        if self.shards == 1 {
-            return run_serial::<Op, _, _, _>(inputs, factory, key_of, order_of);
-        }
-        self.run_threaded(inputs, factory, key_of, order_of)
-    }
-
-    fn run_threaded<Op, F, KF, OF>(
-        &self,
-        inputs: impl IntoIterator<Item = ShardInput<Op::In>>,
-        mut factory: F,
-        key_of: KF,
-        order_of: OF,
-    ) -> (Vec<Op::Out>, Vec<ShardCounters>)
-    where
-        Op: Operator + Send,
-        Op::In: Send,
-        Op::Out: Timestamped + Send,
-        F: FnMut(usize) -> Op,
-        KF: Fn(&Op::In) -> u64,
-        OF: Fn(&Op::Out) -> u64 + Sync,
-    {
-        let shards = self.shards;
-        let mut chains: Vec<Op> = (0..shards).map(&mut factory).collect();
-        let preserving = chains[0].watermark_preserving();
-        assert!(
-            chains
-                .iter()
-                .all(|c| c.watermark_preserving() == preserving),
-            "every shard must agree on watermark preservation"
-        );
-        let order_of = &order_of;
-        let (egress_tx, egress_rx) = mpsc::sync_channel::<EgressMsg<Op::Out>>(CHANNEL_BOUND);
-        let mut routed = vec![0u64; shards];
-        // audit:allow(thread-spawn-tier, reason = "the shard executor is the data plane's sanctioned parallelism: EPC-partitioned lanes with a deterministic watermark-aligned merge, proven bit-identical to K=1 by the shard_identity proptest suite")
-        std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(shards);
-            for (lane, mut chain) in chains.drain(..).enumerate() {
-                let (tx, rx) = mpsc::sync_channel::<IngressMsg<Op::In>>(CHANNEL_BOUND);
-                senders.push(tx);
-                let egress = egress_tx.clone();
-                scope.spawn(move || {
-                    let mut watermarks_forwarded = 0u64;
-                    while let Ok(msg) = rx.recv() {
-                        let (outs, watermark) = match msg {
-                            IngressMsg::Batch(batch) => {
-                                let mut outs = Vec::new();
-                                for event in batch {
-                                    outs.extend(chain.push(event));
-                                }
-                                (outs, None)
-                            }
-                            IngressMsg::Watermark(t) => {
-                                watermarks_forwarded += 1;
-                                (chain.advance_watermark(t), Some(t))
-                            }
-                        };
-                        if egress
-                            .send(EgressMsg {
-                                lane,
-                                outs,
-                                watermark,
-                                finished: None,
-                            })
-                            .is_err()
-                        {
-                            return; // merger died; its panic propagates
-                        }
-                    }
-                    // Ingress closed: the stream is over. Flush and
-                    // report this worker's counter contribution.
-                    let _ = egress.send(EgressMsg {
-                        lane,
-                        outs: chain.finish(),
-                        watermark: None,
-                        finished: Some(watermarks_forwarded),
-                    });
-                });
-            }
-            // The workers hold clones; drop the original so the merger
-            // sees end-of-stream once every worker is done.
-            drop(egress_tx);
-
-            let merger =
-                scope.spawn(move || merge_egress(shards, preserving, &egress_rx, order_of));
-
-            // Route on the calling thread: per-shard batches, flushed
-            // at the size cap and at every watermark boundary.
-            let mut batches: Vec<Vec<Op::In>> = (0..shards).map(|_| Vec::new()).collect();
-            let flush = |sender: &mpsc::SyncSender<IngressMsg<Op::In>>, batch: &mut Vec<Op::In>| {
-                if batch.is_empty() {
-                    return true;
-                }
-                sender
-                    .send(IngressMsg::Batch(std::mem::take(batch)))
-                    .is_ok()
-            };
-            'route: for input in inputs {
-                match input {
-                    ShardInput::Event(event) => {
-                        let lane = shard_of(key_of(&event), shards);
-                        routed[lane] += 1;
-                        batches[lane].push(event);
-                        if batches[lane].len() >= BATCH
-                            && !flush(&senders[lane], &mut batches[lane])
-                        {
-                            break 'route; // worker panicked; join reports it
-                        }
-                    }
-                    ShardInput::Watermark(t) => {
-                        for (sender, batch) in senders.iter().zip(batches.iter_mut()) {
-                            if !flush(sender, batch)
-                                || sender.send(IngressMsg::Watermark(t)).is_err()
-                            {
-                                break 'route;
-                            }
-                        }
-                    }
-                }
-            }
-            for (sender, batch) in senders.iter().zip(batches.iter_mut()) {
-                let _ = flush(sender, batch);
-            }
-            drop(senders); // end-of-stream: workers finish and exit
-
-            let (out, mut counters) = merger.join().expect("shard merger must not panic");
-            for (lane, counter) in counters.iter_mut().enumerate() {
-                counter.events_routed = routed[lane];
-            }
-            (out, counters)
-        })
-    }
-}
-
-/// The serial short-circuit: drive a [`ShardedChain`] directly.
-fn run_serial<Op, F, KF, OF>(
-    inputs: impl IntoIterator<Item = ShardInput<Op::In>>,
-    factory: F,
-    key_of: KF,
-    order_of: OF,
-) -> (Vec<Op::Out>, Vec<ShardCounters>)
-where
-    Op: Operator,
-    Op::Out: Timestamped,
-    F: FnMut(usize) -> Op,
-    KF: Fn(&Op::In) -> u64,
-    OF: Fn(&Op::Out) -> u64,
-{
-    let mut chain = ShardedChain::new(1, factory, key_of, order_of);
-    let mut out = Vec::new();
-    for input in inputs {
-        match input {
-            ShardInput::Event(event) => out.extend(chain.push(event)),
-            ShardInput::Watermark(t) => out.extend(chain.advance_watermark(t)),
-        }
-    }
-    out.extend(chain.finish());
-    (out, chain.counters())
-}
-
-/// The merger thread: replays worker messages into the same
-/// [`EgressMerge`] the serial plane uses.
-///
-/// Boundary discipline: a release and a `merge_holds` accounting pass
-/// run exactly when a watermark has arrived from *every* lane — the
-/// moment the serial plane finishes the matching `advance_watermark`
-/// broadcast. Each lane's channel is FIFO, so by that moment every
-/// pre-boundary output of every lane has been enqueued, which makes
-/// the held-backlog accounting identical to the serial plane's.
-fn merge_egress<T, OF>(
-    shards: usize,
-    preserving: bool,
-    egress: &mpsc::Receiver<EgressMsg<T>>,
-    order_of: &OF,
-) -> (Vec<T>, Vec<ShardCounters>)
-where
-    T: Timestamped,
-    OF: Fn(&T) -> u64,
-{
-    let mut merge = EgressMerge::new(shards);
-    let mut out = Vec::new();
-    // Lockstep discipline: a lane that runs ahead of the current
-    // boundary has its messages *buffered*, not applied, until every
-    // other lane catches up — otherwise the held-backlog accounting
-    // would see a fast lane's post-boundary outputs early and the
-    // counters would depend on thread scheduling. A lane's lead is
-    // bounded by the laggard's ingress backlog (the router broadcasts
-    // watermarks to every lane in one step and blocks on full
-    // channels), so the buffers stay O(channel bound).
-    let mut pending: Vec<std::collections::VecDeque<EgressMsg<T>>> = (0..shards)
-        .map(|_| std::collections::VecDeque::new())
-        .collect();
-    // Watermarks each lane has applied; boundary N completes when
-    // every lane has applied more than N watermarks.
-    let mut acked = vec![0u64; shards];
-    let mut boundaries = 0u64;
-    let apply = |msg: EgressMsg<T>, merge: &mut EgressMerge<T>, acked: &mut Vec<u64>| {
-        for item in msg.outs {
-            let order = order_of(&item);
-            merge.enqueue(msg.lane, order, item.time_s(), item);
-        }
-        if let Some(t) = msg.watermark {
-            acked[msg.lane] += 1;
-            if preserving {
-                let current = merge.watermarks[msg.lane];
-                merge.watermarks[msg.lane] = current.max(t);
-            }
-        }
-        if let Some(watermarks_forwarded) = msg.finished {
-            merge.counters[msg.lane].watermarks_forwarded = watermarks_forwarded;
-        }
-    };
-    let drain_lockstep = |pending: &mut Vec<std::collections::VecDeque<EgressMsg<T>>>,
-                          merge: &mut EgressMerge<T>,
-                          acked: &mut Vec<u64>,
-                          boundaries: &mut u64,
-                          out: &mut Vec<T>| {
-        loop {
-            let mut progressed = false;
-            for lane in 0..shards {
-                while acked[lane] <= *boundaries {
-                    let Some(msg) = pending[lane].pop_front() else {
-                        break;
-                    };
-                    apply(msg, merge, acked);
-                    progressed = true;
-                }
-            }
-            if acked.iter().all(|&a| a > *boundaries) {
-                *boundaries += 1;
-                out.extend(merge.release());
-                merge.account_boundary();
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-    };
-    while let Ok(msg) = egress.recv() {
-        pending[msg.lane].push_back(msg);
-        drain_lockstep(
-            &mut pending,
-            &mut merge,
-            &mut acked,
-            &mut boundaries,
-            &mut out,
-        );
-    }
-    // Every worker has disconnected: the lockstep loop has applied all
-    // remaining messages (each lane's watermark total equals the
-    // boundary total, so nothing can stay buffered). Drain the heap.
-    drain_lockstep(
-        &mut pending,
-        &mut merge,
-        &mut acked,
-        &mut boundaries,
-        &mut out,
-    );
-    debug_assert!(pending.iter().all(std::collections::VecDeque::is_empty));
-    out.extend(merge.finish());
-    (out, merge.counters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A key-partitionable toy chain: tags each `(key, time)` input
-    /// with the running per-key count, pass-through timing.
-    #[derive(Default)]
-    struct Tagger {
-        counts: std::collections::BTreeMap<u64, u64>,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Tagged {
-        key: u64,
-        time_s: f64,
-        nth: u64,
-    }
-
-    impl Timestamped for Tagged {
-        fn time_s(&self) -> f64 {
-            self.time_s
-        }
-    }
-
-    impl Operator for Tagger {
-        type In = (u64, f64);
-        type Out = Tagged;
-
-        fn push(&mut self, (key, time_s): (u64, f64)) -> Vec<Tagged> {
-            let nth = self.counts.entry(key).or_insert(0);
-            *nth += 1;
-            vec![Tagged {
-                key,
-                time_s,
-                nth: *nth,
-            }]
-        }
-
-        fn advance_watermark(&mut self, _watermark_s: f64) -> Vec<Tagged> {
-            Vec::new()
-        }
-
-        fn finish(&mut self) -> Vec<Tagged> {
-            Vec::new()
-        }
-
-        fn watermark_preserving(&self) -> bool {
-            true
-        }
-    }
-
-    fn stream(events: &[(u64, f64)], watermark_every: usize) -> Vec<ShardInput<(u64, f64)>> {
-        let mut inputs = Vec::new();
-        for (i, &event) in events.iter().enumerate() {
-            inputs.push(ShardInput::Event(event));
-            if (i + 1) % watermark_every == 0 {
-                inputs.push(ShardInput::Watermark(event.1));
-            }
-        }
-        inputs
-    }
-
-    fn events(n: u64) -> Vec<(u64, f64)> {
-        (0..n).map(|i| (i % 7, (i / 2) as f64 * 0.5)).collect()
-    }
 
     #[test]
     fn shard_of_is_stable_and_total() {
@@ -797,82 +78,6 @@ mod tests {
             assert!(shard_of(key, 4) < 4);
             assert_eq!(shard_of(key, 1), 0, "one shard takes everything");
         }
-    }
-
-    #[test]
-    fn serial_chain_is_shard_count_invariant() {
-        let inputs = stream(&events(200), 5);
-        let (reference, _) = ShardExecutor::serial().run(
-            inputs.clone(),
-            |_| Tagger::default(),
-            |&(key, _)| key,
-            |t: &Tagged| t.key,
-        );
-        assert_eq!(reference.len(), 200);
-        for shards in [2usize, 3, 5] {
-            let mut chain =
-                ShardedChain::new(shards, |_| Tagger::default(), |&(key, _)| key, |t| t.key);
-            let mut out = Vec::new();
-            for input in inputs.clone() {
-                match input {
-                    ShardInput::Event(e) => out.extend(chain.push(e)),
-                    ShardInput::Watermark(t) => out.extend(chain.advance_watermark(t)),
-                }
-            }
-            out.extend(chain.finish());
-            assert_eq!(out, reference, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn threaded_executor_matches_serial_outputs_and_counters() {
-        let inputs = stream(&events(500), 7);
-        for shards in [2usize, 4, 8] {
-            let mut serial_chain =
-                ShardedChain::new(shards, |_| Tagger::default(), |&(key, _)| key, |t| t.key);
-            let mut serial_out = Vec::new();
-            for input in inputs.clone() {
-                match input {
-                    ShardInput::Event(e) => serial_out.extend(serial_chain.push(e)),
-                    ShardInput::Watermark(t) => {
-                        serial_out.extend(serial_chain.advance_watermark(t));
-                    }
-                }
-            }
-            serial_out.extend(serial_chain.finish());
-
-            let (threaded_out, threaded_counters) = ShardExecutor::with_shards(shards).run(
-                inputs.clone(),
-                |_| Tagger::default(),
-                |&(key, _)| key,
-                |t: &Tagged| t.key,
-            );
-            assert_eq!(threaded_out, serial_out, "shards = {shards}");
-            assert_eq!(
-                threaded_counters,
-                serial_chain.counters(),
-                "shards = {shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn counters_account_routing_and_boundaries() {
-        let inputs = stream(&events(100), 10);
-        let (_, counters) = ShardExecutor::with_shards(4).run(
-            inputs,
-            |_| Tagger::default(),
-            |&(key, _)| key,
-            |t: &Tagged| t.key,
-        );
-        assert_eq!(counters.len(), 4);
-        let routed: u64 = counters.iter().map(|c| c.events_routed).sum();
-        assert_eq!(routed, 100, "every event lands on exactly one shard");
-        assert!(
-            counters.iter().all(|c| c.watermarks_forwarded == 10),
-            "watermarks broadcast to every shard"
-        );
-        assert!(counters.iter().any(|c| c.max_queue_depth > 0));
     }
 
     #[test]

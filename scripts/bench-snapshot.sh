@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Records a performance snapshot as JSON: the memoized hot path vs the
 # unmemoized reference (moving cart pass + static read range), the
-# streaming operator chains, the sharded data plane's K ∈ {1,2,4,8}
-# scaling curve, and the site-server ingest/query load section.
+# streaming operator chains, the site-server ingest/query load section,
+# the durable store and the fleet campaign.
 #
 #   scripts/bench-snapshot.sh                  # writes BENCH_<date>.json
 #   scripts/bench-snapshot.sh out.json         # explicit output path

@@ -55,10 +55,10 @@ grep -q "matches batch replay" "$site_out"
 grep -q "graceful shutdown complete" "$site_out"
 rm -f "$site_out"
 
-# The sharded-plane identity suite under its own budget: these
-# proptests prove the EPC-partitioned parallel chains bit-identical to
-# K=1 for arbitrary shard counts, chunkings, and watermark schedules —
-# a deadlocked merge would otherwise wedge the runner.
+# The shard identity suite under its own budget: these proptests prove
+# the daemon's ingest plane gives the K=1 report at any shard count,
+# drain chunking and session interleaving, with sessions on threads of
+# their own — a deadlocked ticket wait would otherwise wedge the runner.
 timeout 120 cargo test -q --test shard_identity
 
 # The durable-store recovery suites under their own budget: crash
@@ -125,7 +125,6 @@ scripts/bench-snapshot.sh "$smoke_out" --smoke
 grep -q '"speedup"' "$smoke_out"
 grep -q '"events_per_sec"' "$smoke_out"
 grep -q '"site_server"' "$smoke_out"
-grep -q '"sharded_streaming"' "$smoke_out"
 grep -q '"ingest_batch_speedup"' "$smoke_out"
 grep -q '"store"' "$smoke_out"
 grep -q '"append_events_per_sec"' "$smoke_out"
