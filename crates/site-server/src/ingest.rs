@@ -105,10 +105,11 @@ struct RoutedBatch {
     lane: usize,
     ticket: u64,
     events: Vec<(u64, ReadEvent)>,
-    /// In durable mode, the time below which the shard tracker's
-    /// history may be evicted after applying (everything older is
-    /// already safe in the store).
-    evict_before: Option<f64>,
+    /// The time below which the shard tracker keeps no history once
+    /// the batch is applied: in durable mode the release high-water
+    /// (everything older is already safe in the store), in memory mode
+    /// `+∞`, which evicts nothing.
+    evict_before: f64,
 }
 
 /// The shared ingest plane. One per server run; borrow it from every
@@ -183,12 +184,16 @@ impl<'a> SharedIngest<'a> {
     /// shard history is evicted as it becomes durable — bounding
     /// resident memory.
     ///
-    /// The replay evicts as it goes: after each segment, every shard
-    /// drops history older than that segment's newest time, so restart
-    /// never holds more than about one segment of history. Those
-    /// cutoffs rise with the segments and end at the store's newest
-    /// time, so the shards end exactly as a full replay followed by one
-    /// eviction at that time would leave them.
+    /// The store's reader thread reads and decodes segments ahead while
+    /// this thread replays them in order. The replay evicts as it goes:
+    /// each segment's observations are partitioned by shard and fed
+    /// through [`LocationTracker::push_and_evict_before`] with the
+    /// segment's newest time as the cutoff, so an observation older
+    /// than that moves its object's estimate and emits its transition
+    /// but never enters history, and restart never holds more than
+    /// about one segment of history. Those cutoffs rise with the segments and end
+    /// at the store's newest time, so the shards end exactly as a full
+    /// replay followed by one eviction at that time would leave them.
     ///
     /// # Errors
     ///
@@ -196,6 +201,7 @@ impl<'a> SharedIngest<'a> {
     /// back, and returns [`StoreError::UnknownZone`] for the first
     /// stored observation whose zone is not one of `site`'s: segment
     /// bytes are hostile input, and every query answer names its zone.
+    /// The replay stops at the first of these, reading no further.
     pub fn with_store(
         site: &'a Site,
         registry: &'a ObjectRegistry,
@@ -217,47 +223,42 @@ impl<'a> SharedIngest<'a> {
         let lanes = shards.len();
         let zones = site.zone_count();
         let mut recovered = 0u64;
-        // `visit_segments` visits segment 0 first and each segment once.
+        // Each segment's observations, partitioned by shard and tagged
+        // with their release sequence numbers.
+        let mut batches: Vec<Vec<(u64, ZoneObservation)>> = vec![Vec::new(); lanes];
+        // Segments are visited from 0, each once.
         let mut segment = 0u32;
-        let mut unknown_zone = None;
         store.visit_segments(|records| {
             let index = segment;
             segment += 1;
-            if unknown_zone.is_some() {
-                return;
-            }
             for record in records {
                 let Record::Observation(observation) = record else {
                     continue;
                 };
                 if observation.zone >= zones {
-                    unknown_zone = Some(StoreError::UnknownZone {
+                    return Err(StoreError::UnknownZone {
                         index,
                         zone: observation.zone,
                     });
-                    return;
                 }
-                let shard = &mut shards[shard_of(observation.object.index() as u64, lanes)];
-                let emitted = shard.tracker.push(*observation);
-                shard.transitions.extend(
-                    emitted
-                        .into_iter()
-                        .map(|transition| (recovered, transition)),
-                );
+                batches[shard_of(observation.object.index() as u64, lanes)]
+                    .push((recovered, *observation));
                 recovered += 1;
             }
             // Replayed history is already durable, and the live
             // estimates survive eviction. Records are time-ordered, so
             // the last one carries the segment's newest time.
             if let Some(newest) = records.last() {
-                for shard in &mut shards {
-                    shard.tracker.evict_history_before(newest.time_s());
+                for (shard, batch) in shards.iter_mut().zip(&mut batches) {
+                    shard.tracker.push_and_evict_before(
+                        batch.drain(..),
+                        newest.time_s(),
+                        &mut shard.transitions,
+                    );
                 }
             }
+            Ok(())
         })?;
-        if let Some(err) = unknown_zone {
-            return Err(err);
-        }
         {
             let state = ingest
                 .state
@@ -364,7 +365,10 @@ impl<'a> SharedIngest<'a> {
                 state.counters.store_errors += 1;
             }
         }
-        let evict_before = if self.durable { high_s } else { None };
+        let evict_before = match high_s {
+            Some(high_s) if self.durable => high_s,
+            _ => f64::INFINITY,
+        };
         per_lane
             .into_iter()
             .enumerate()
@@ -402,20 +406,23 @@ impl<'a> SharedIngest<'a> {
         }
         state.counters.watermarks_forwarded += 1;
         state.counters.events_routed += batch.events.len() as u64;
-        for (seq, event) in batch.events {
-            for observation in state.observe.push(event) {
-                let emitted = state.tracker.push(observation);
-                state
-                    .transitions
-                    .extend(emitted.into_iter().map(|transition| (seq, transition)));
-            }
-        }
-        if let Some(cutoff_s) = batch.evict_before {
-            // Everything strictly older than the release high-water is
-            // already durable; drop it from the live index so resident
-            // memory stays bounded by the in-flight window.
-            state.tracker.evict_history_before(cutoff_s);
-        }
+        let ShardState {
+            observe,
+            tracker,
+            transitions,
+            ..
+        } = &mut *state;
+        let observed = batch.events.into_iter().flat_map(|(seq, event)| {
+            observe
+                .push(event)
+                .into_iter()
+                .map(move |observation| (seq, observation))
+        });
+        // In durable mode everything strictly older than the release
+        // high-water is already durable, so it never enters the live
+        // index and resident memory stays bounded by the in-flight
+        // window.
+        tracker.push_and_evict_before(observed, batch.evict_before, transitions);
         state.applied_tickets += 1;
         slot.applied.notify_all();
     }
@@ -822,12 +829,12 @@ impl<'a> SharedIngest<'a> {
     /// subsequence, so their union ([`LocationTracker::absorb`]) is
     /// bit-exact to a batch replay. In durable mode the shards have
     /// evicted their history and the store *is* the canonical log, so
-    /// the tracker is rebuilt by replaying it one segment at a time —
-    /// the recovery path and the report path are one code path, which
-    /// is what makes "replay equals live run" a structural guarantee.
-    /// Transitions merge back into canonical order by release
-    /// sequence. Call after [`SharedIngest::finish`] once every session
-    /// has detached.
+    /// the tracker is rebuilt by replaying it with `push`, which keeps
+    /// every observation, through the same segment reader restart
+    /// replays through — which is what makes "replay equals live run"
+    /// a structural guarantee. Transitions merge back into canonical
+    /// order by release sequence. Call after [`SharedIngest::finish`]
+    /// once every session has detached.
     #[must_use]
     pub fn into_report(self) -> ServerReport {
         let mut state = self
@@ -1129,6 +1136,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A durable batch evicts what the store already holds and a
+    /// memory-mode batch evicts nothing: after the same drains the
+    /// durable shards keep only the newest released observation, the
+    /// memory-mode shards every released one.
+    #[test]
+    fn durable_batches_evict_below_the_release_high_water() {
+        let (site, registry, epcs) = world();
+        let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
+        let dir = temp_dir("evict-high-water");
+        let store = ZoneHistoryStore::open(&dir, StoreConfig::default()).expect("open store");
+        let durable =
+            SharedIngest::with_store(&site, &registry, &adapters, 100.0, 2, store).expect("replay");
+        let memory = SharedIngest::new(&site, &registry, &adapters, 100.0, 2);
+        for (ingest, retained) in [(&durable, 1), (&memory, 3)] {
+            ingest.attach(0).expect("lane 0");
+            // Each drain's watermark releases the read before it: t=1,
+            // then t=2, then t=3, one batch each.
+            ingest.ingest_records(0, &[record(epcs[0], 1.0), record(epcs[0], 2.0)]);
+            ingest.ingest_records(0, &[record(epcs[0], 3.0)]);
+            ingest.ingest_records(0, &[record(epcs[0], 4.0)]);
+            assert_eq!(ingest.counters().events_released, 3);
+            let held: usize = ingest
+                .shards
+                .iter()
+                .map(|slot| slot.state.lock().expect("shard lock").tracker.history_len())
+                .sum();
+            assert_eq!(held, retained, "durable = {}", ingest.is_durable());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A stored observation in a zone the site lacks would panic every
     /// query that names it; `with_store` refuses the store instead,
     /// naming the first segment that holds such a zone.
@@ -1160,6 +1198,46 @@ mod tests {
         assert_eq!(
             refused.err(),
             Some(StoreError::UnknownZone { index: 1, zone: 2 })
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The replay ends at the first zone the site lacks: a later segment
+    /// that became unreadable after the store opened is never read, so
+    /// the unknown zone, not the read failure, is the error.
+    #[test]
+    fn with_store_stops_at_the_first_unknown_zone() {
+        let (site, registry, epcs) = world();
+        let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
+        let case = registry.object_of(epcs[0]).expect("case 0");
+        let dir = temp_dir("unknown-zone-first");
+        let mut store = ZoneHistoryStore::open(
+            &dir,
+            StoreConfig {
+                records_per_segment: 2,
+            },
+        )
+        .expect("open");
+        for (zone, time_s) in [(9, 1.0), (0, 2.0), (1, 3.0), (0, 4.0)] {
+            store
+                .append(&Record::Observation(ZoneObservation {
+                    object: case,
+                    zone,
+                    time_s,
+                    inferred: false,
+                }))
+                .expect("append");
+        }
+        store.flush().expect("flush");
+        let segment = dir.join("seg-00000001.rzh");
+        let mut bytes = std::fs::read(&segment).expect("read segment 1");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&segment, &bytes).expect("damage segment 1");
+        let refused = SharedIngest::with_store(&site, &registry, &adapters, 100.0, 2, store);
+        assert_eq!(
+            refused.err(),
+            Some(StoreError::UnknownZone { index: 0, zone: 9 })
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1198,81 +1276,85 @@ mod tests {
     /// exactly as one replay followed by one eviction at the store's
     /// newest time: the same shard trackers (holding only the newest
     /// observations), answers, counters and report as a one-segment
-    /// store of the same records.
+    /// store of the same records, at every shard count.
     #[test]
     fn segment_by_segment_replay_equals_replay_then_evict() {
         let (site, registry, epcs) = world();
         let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
         let observations = straddling_observations(&registry, &epcs);
         let newest = observations.last().expect("observations").time_s;
-        let shards = 2;
-        let mut replayed: Vec<LocationTracker> =
-            (0..shards).map(|_| LocationTracker::new(100.0)).collect();
-        for observation in &observations {
-            let _ =
-                replayed[shard_of(observation.object.index() as u64, shards)].push(*observation);
-        }
-        for tracker in &mut replayed {
-            tracker.evict_history_before(newest);
-        }
-        assert_eq!(
-            replayed
-                .iter()
-                .map(LocationTracker::history_len)
-                .sum::<usize>(),
-            4,
-            "only the four observations at t=3 stay"
-        );
-
-        let run = |name: &str, records_per_segment: usize| {
-            let dir = temp_dir(name);
-            let mut store = ZoneHistoryStore::open(
-                &dir,
-                StoreConfig {
-                    records_per_segment,
-                },
-            )
-            .expect("open");
+        for shards in [1, 2, 3, 8] {
+            let mut replayed: Vec<LocationTracker> =
+                (0..shards).map(|_| LocationTracker::new(100.0)).collect();
             for observation in &observations {
-                store
-                    .append(&Record::Observation(*observation))
-                    .expect("append");
+                let _ = replayed[shard_of(observation.object.index() as u64, shards)]
+                    .push(*observation);
             }
-            store.flush().expect("flush");
-            let segments = store.segment_count();
-            let ingest =
-                SharedIngest::with_store(&site, &registry, &adapters, 100.0, shards, store)
-                    .expect("replay");
-            let trackers: Vec<LocationTracker> = ingest
-                .shards
-                .iter()
-                .map(|slot| slot.state.lock().expect("shard lock").tracker.clone())
-                .collect();
-            let mut answers = Vec::new();
-            for epc in &epcs {
-                let text = epc.to_string();
-                answers.push(format!("{:?}", ingest.location_of(&text)));
-                answers.push(format!("{:?}", ingest.zone_history(&text)));
-                for step in 0..8 {
-                    let at_s = f64::from(step) * 0.5;
-                    answers.push(format!("{:?}", ingest.location_at(&text, at_s)));
+            for tracker in &mut replayed {
+                tracker.evict_history_before(newest);
+            }
+            assert_eq!(
+                replayed
+                    .iter()
+                    .map(LocationTracker::history_len)
+                    .sum::<usize>(),
+                4,
+                "only the four observations at t=3 stay"
+            );
+
+            let run = |name: &str, records_per_segment: usize| {
+                let dir = temp_dir(&format!("{name}-{shards}"));
+                let mut store = ZoneHistoryStore::open(
+                    &dir,
+                    StoreConfig {
+                        records_per_segment,
+                    },
+                )
+                .expect("open");
+                for observation in &observations {
+                    store
+                        .append(&Record::Observation(*observation))
+                        .expect("append");
                 }
-            }
-            let counters = ingest.counters();
-            ingest.finish();
-            let report = ingest.into_report();
-            let _ = std::fs::remove_dir_all(&dir);
-            (segments, trackers, answers, counters, report)
-        };
-        let (segments, trackers, answers, counters, report) = run("segments", 3);
-        let (one, whole_trackers, whole_answers, whole_counters, whole_report) =
-            run("one-segment", 1024);
-        assert_eq!((segments, one), (4, 1));
-        assert_eq!(trackers, replayed, "evicting per segment = evicting once");
-        assert_eq!(whole_trackers, replayed);
-        assert_eq!(answers, whole_answers);
-        assert_eq!(counters, whole_counters);
-        assert_eq!(report, whole_report);
-        assert_eq!(report.counters.store_recovered, 11);
+                store.flush().expect("flush");
+                let segments = store.segment_count();
+                let ingest =
+                    SharedIngest::with_store(&site, &registry, &adapters, 100.0, shards, store)
+                        .expect("replay");
+                let trackers: Vec<LocationTracker> = ingest
+                    .shards
+                    .iter()
+                    .map(|slot| slot.state.lock().expect("shard lock").tracker.clone())
+                    .collect();
+                let mut answers = Vec::new();
+                for epc in &epcs {
+                    let text = epc.to_string();
+                    answers.push(format!("{:?}", ingest.location_of(&text)));
+                    answers.push(format!("{:?}", ingest.zone_history(&text)));
+                    for step in 0..8 {
+                        let at_s = f64::from(step) * 0.5;
+                        answers.push(format!("{:?}", ingest.location_at(&text, at_s)));
+                    }
+                }
+                let counters = ingest.counters();
+                ingest.finish();
+                let report = ingest.into_report();
+                let _ = std::fs::remove_dir_all(&dir);
+                (segments, trackers, answers, counters, report)
+            };
+            let (segments, trackers, answers, counters, report) = run("segments", 3);
+            let (one, whole_trackers, whole_answers, whole_counters, whole_report) =
+                run("one-segment", 1024);
+            assert_eq!((segments, one), (4, 1));
+            assert_eq!(
+                trackers, replayed,
+                "evicting per segment = evicting once, shards = {shards}"
+            );
+            assert_eq!(whole_trackers, replayed, "shards = {shards}");
+            assert_eq!(answers, whole_answers, "shards = {shards}");
+            assert_eq!(counters, whole_counters, "shards = {shards}");
+            assert_eq!(report, whole_report, "shards = {shards}");
+            assert_eq!(report.counters.store_recovered, 11);
+        }
     }
 }

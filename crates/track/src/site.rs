@@ -12,7 +12,7 @@ use crate::constraints::ZoneObservation;
 use crate::registry::{ObjectHandle, ObjectRegistry};
 use crate::store::index::MAX_ZONE;
 use crate::store::ZoneHistoryIndex;
-use crate::stream::Operator;
+use crate::stream::{Operator, ZoneTransition};
 use rfid_sim::ReadEvent;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -160,6 +160,22 @@ impl fmt::Display for ObserveError {
 
 impl std::error::Error for ObserveError {}
 
+/// Rejects an observation the tracker's history cannot hold: a
+/// non-finite time, or a zone above 2³¹ − 1.
+fn admit(observation: &ZoneObservation) -> Result<(), ObserveError> {
+    if !observation.time_s.is_finite() {
+        return Err(ObserveError::NonFiniteTime {
+            time_s: observation.time_s,
+        });
+    }
+    if observation.zone > MAX_ZONE {
+        return Err(ObserveError::ZoneOutOfRange {
+            zone: observation.zone,
+        });
+    }
+    Ok(())
+}
+
 /// Per-object location estimation from zone observations.
 ///
 /// The estimate is "last zone seen", expiring after `staleness_s` without
@@ -218,16 +234,7 @@ impl LocationTracker {
         &mut self,
         observation: ZoneObservation,
     ) -> Result<Option<(usize, f64)>, ObserveError> {
-        if !observation.time_s.is_finite() {
-            return Err(ObserveError::NonFiniteTime {
-                time_s: observation.time_s,
-            });
-        }
-        if observation.zone > MAX_ZONE {
-            return Err(ObserveError::ZoneOutOfRange {
-                zone: observation.zone,
-            });
-        }
+        admit(&observation)?;
         Ok(self.history.insert(observation))
     }
 
@@ -307,6 +314,41 @@ impl LocationTracker {
     /// the cutoff must be served elsewhere (the durable store).
     pub fn evict_history_before(&mut self, cutoff_s: f64) -> usize {
         self.history.evict_before(cutoff_s)
+    }
+
+    /// Feeds `batch` through [`Operator::push`], one observation at a
+    /// time, then calls [`LocationTracker::evict_history_before`] with
+    /// `cutoff_s`, appending each emitted transition to `transitions`
+    /// with the tag of the observation that caused it. The tracker and
+    /// the transitions are exactly that sequence's; only the work
+    /// differs. An observation older than a finite `cutoff_s` moves its
+    /// object's estimate and emits its transition but is never recorded
+    /// in history, which the eviction would drop at once. A non-finite
+    /// cutoff evicts nothing, so then every observation is recorded, as
+    /// by `push` alone. Durable deployments feed through this with a
+    /// finite cutoff: their store holds what is evicted.
+    pub fn push_and_evict_before<T>(
+        &mut self,
+        batch: impl IntoIterator<Item = (T, ZoneObservation)>,
+        cutoff_s: f64,
+        transitions: &mut Vec<(T, ZoneTransition)>,
+    ) {
+        let evicting = cutoff_s.is_finite();
+        for (tag, observation) in batch {
+            // The operator face drops what `observe` rejects.
+            if admit(&observation).is_err() {
+                continue;
+            }
+            let previous = if evicting && observation.time_s < cutoff_s {
+                self.history.move_estimate(observation)
+            } else {
+                self.history.insert(observation)
+            };
+            transitions.extend(
+                ZoneTransition::moved(&observation, previous).map(|transition| (tag, transition)),
+            );
+        }
+        self.history.evict_before(cutoff_s);
     }
 
     /// Objects estimated to be in `zone` as of `now_s` (point-in-time,

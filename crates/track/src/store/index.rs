@@ -234,6 +234,33 @@ impl ZoneHistoryIndex {
         }
     }
 
+    /// Records one observation that is to be evicted at once: the
+    /// estimate moves exactly as [`ZoneHistoryIndex::insert`] would move
+    /// it, and the previous one is returned, but the observation is not
+    /// retained — no run grows or is allocated, and the object does not
+    /// join the eviction list. The caller must have rejected what
+    /// `insert` requires rejected.
+    pub(crate) fn move_estimate(&mut self, observation: ZoneObservation) -> Option<(usize, f64)> {
+        let latest = (observation.zone, observation.time_s);
+        match self.objects.entry(observation.object.index()) {
+            Entry::Vacant(slot) => {
+                slot.insert(ObjectTrack {
+                    latest,
+                    run: VecDeque::new(),
+                });
+                None
+            }
+            Entry::Occupied(mut slot) => {
+                let track = slot.get_mut();
+                let previous = track.latest;
+                if observation.time_s >= previous.1 {
+                    track.latest = latest;
+                }
+                Some(previous)
+            }
+        }
+    }
+
     /// The object's live estimate: the `(zone, time_s)` of its newest
     /// observation, kept through eviction.
     #[must_use]
@@ -463,6 +490,35 @@ mod tests {
         assert_eq!(index.evict_before(4.0), 1);
         assert_eq!(index.holding, [quiet.index()]);
         assert_eq!(index.history_of(quiet).count(), 1);
+    }
+
+    #[test]
+    fn move_estimate_moves_like_insert_and_retains_nothing() {
+        let mut registry = ObjectRegistry::new();
+        let held = registry.register("held");
+        let passing = registry.register("passing");
+        let mut moved = ZoneHistoryIndex::new();
+        let mut inserted = ZoneHistoryIndex::new();
+        moved.insert(obs(held, 0, 1.0));
+        inserted.insert(obs(held, 0, 1.0));
+        for observation in [
+            obs(held, 1, 2.0),
+            obs(held, 2, 2.0),
+            obs(held, 3, 1.5),
+            obs(passing, 1, 3.0),
+        ] {
+            assert_eq!(
+                moved.move_estimate(observation),
+                inserted.insert(observation)
+            );
+        }
+        for object in [held, passing] {
+            assert_eq!(moved.latest(object), inserted.latest(object));
+        }
+        assert_eq!(moved.latest(held), Some((2, 2.0)), "ties go to the later");
+        assert_eq!(moved.len(), 1, "nothing moved is retained");
+        assert_eq!(moved.holding, [held.index()], "or joins the eviction list");
+        assert_eq!(moved.objects[&passing.index()].run.capacity(), 0);
     }
 
     #[test]

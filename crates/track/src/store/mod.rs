@@ -18,6 +18,15 @@
 //! reads is checked again, CRC and decode, exactly as recovery checked
 //! it.
 //!
+//! Recovery and replay read ahead: one private reader runs a thread that
+//! reads, CRC-checks and decodes the segments in index order, at most
+//! two segments ahead of the calling thread, which takes them in that
+//! order. Everything that depends on earlier segments — the base
+//! sequence against the running count, time order across segments,
+//! which segment is final, the span index — happens on the calling
+//! thread, so the first fault in index order is the error, as when one
+//! thread read them all.
+//!
 //! # On-disk format
 //!
 //! A store directory holds segment files `seg-00000000.rzh`,
@@ -46,7 +55,10 @@
 //!   [`StoreError::MissingSegment`]; a deleted *final* segment simply
 //!   recovers the shorter valid prefix.
 //! * Recovery never panics on hostile bytes: every failure mode is a
-//!   typed error or a reported truncation.
+//!   typed error or a reported truncation. The first fault in index
+//!   order is the one reported: a corrupt segment below a gap outranks
+//!   the gap, and within a segment a header fault outranks a wrong base
+//!   sequence, which outranks a damaged frame.
 
 pub mod codec;
 pub mod index;
@@ -61,6 +73,8 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::thread;
 
 const MAGIC: [u8; 4] = *b"RZH1";
 const HEADER_LEN: usize = 16;
@@ -212,6 +226,30 @@ impl ClosedSegment {
             path,
         }
     }
+
+    /// The records of `parsed`, segment `index` read back from disk,
+    /// once it checks out as recovery found it: any deviation is
+    /// corruption. `high_s` is the newest time before the segment, or
+    /// `None` to leave its first record's order unchecked.
+    fn check(
+        &self,
+        index: u32,
+        parsed: ParsedSegment,
+        high_s: Option<f64>,
+    ) -> Result<Vec<Record>, StoreError> {
+        parsed.check_in_order(index, self.base_seq, high_s)?;
+        if parsed.records.len() as u64 != self.records {
+            return Err(StoreError::CorruptSegment {
+                index,
+                detail: format!(
+                    "segment shrank: {} records on disk, {} recovered",
+                    parsed.records.len(),
+                    self.records
+                ),
+            });
+        }
+        Ok(parsed.records)
+    }
 }
 
 /// A closed segment's index as a span lists it.
@@ -250,24 +288,86 @@ pub struct ZoneHistoryStore {
     recovery: RecoveryReport,
 }
 
-/// One parsed segment plus the byte length of its clean prefix.
+/// One segment as the reader thread parses it: everything that depends
+/// on the segment's own bytes. What depends on the segments before it
+/// is checked on the calling thread, in index order
+/// ([`ParsedSegment::check_in_order`]).
 struct ParsedSegment {
-    base_seq: u64,
+    /// The base sequence the header claims; `None` when a torn-tolerant
+    /// parse found the header itself torn (a crash during segment
+    /// creation), which recovers zero records at the running count.
+    base_seq: Option<u64>,
     records: Vec<Record>,
     clean_len: u64,
     torn_bytes: u64,
+    /// The first fault below the header, with the number of records
+    /// checked before it: a frame fault of a strict parse (`0`: it
+    /// fails the parse before any record is checked), else the first
+    /// record whose time is non-finite or behind the record before it.
+    fault: Option<(usize, StoreError)>,
+}
+
+impl ParsedSegment {
+    /// The checks that need the segments before this one, in the order
+    /// recovery makes them: the header's base sequence against
+    /// `next_seq`, the records those segments hold; then the first
+    /// fault below the header, with the first record checked against
+    /// `high_s`, the newest time before the segment, in its place among
+    /// the records.
+    fn check_in_order(
+        &self,
+        index: u32,
+        next_seq: u64,
+        high_s: Option<f64>,
+    ) -> Result<(), StoreError> {
+        if let Some(base_seq) = self.base_seq.filter(|&base_seq| base_seq != next_seq) {
+            return Err(StoreError::CorruptSegment {
+                index,
+                detail: format!(
+                    "header claims base sequence {base_seq}, preceding segments hold {next_seq}"
+                ),
+            });
+        }
+        let behind = self
+            .records
+            .first()
+            .zip(high_s)
+            .is_some_and(|(first, high)| first.time_s() < high);
+        match &self.fault {
+            Some((0, fault)) => Err(fault.clone()),
+            _ if behind => Err(disordered(index)),
+            Some((_, fault)) => Err(fault.clone()),
+            None => Ok(()),
+        }
+    }
+}
+
+fn disordered(index: u32) -> StoreError {
+    StoreError::CorruptSegment {
+        index,
+        detail: "records are not time-ordered".to_owned(),
+    }
+}
+
+/// Reads and parses segment file `path`.
+fn read_segment(
+    path: &Path,
+    segment_index: u32,
+    tolerate_torn_tail: bool,
+) -> Result<ParsedSegment, StoreError> {
+    let bytes = fs::read(path).map_err(|e| io_error(path, &e))?;
+    parse_segment(&bytes, segment_index, tolerate_torn_tail)
 }
 
 /// Parses segment bytes. With `tolerate_torn_tail`, frame-level
 /// failures end the parse at the clean prefix (reported via
-/// `torn_bytes`); otherwise they are [`StoreError::CorruptSegment`].
+/// `torn_bytes`); otherwise the first is the segment's `fault`.
 /// Header failures are always corruption, except a short header on a
 /// torn-tolerant parse (a crash during segment creation), which
 /// recovers zero records.
 fn parse_segment(
     bytes: &[u8],
     segment_index: u32,
-    expected_base_seq: u64,
     tolerate_torn_tail: bool,
 ) -> Result<ParsedSegment, StoreError> {
     let corrupt = |detail: String| StoreError::CorruptSegment {
@@ -277,10 +377,11 @@ fn parse_segment(
     if bytes.len() < HEADER_LEN {
         if tolerate_torn_tail {
             return Ok(ParsedSegment {
-                base_seq: expected_base_seq,
+                base_seq: None,
                 records: Vec::new(),
                 clean_len: 0,
                 torn_bytes: bytes.len() as u64,
+                fault: None,
             });
         }
         return Err(corrupt(format!(
@@ -291,9 +392,7 @@ fn parse_segment(
     if bytes[..4] != MAGIC {
         return Err(corrupt("bad magic".to_owned()));
     }
-    let mut raw4 = [0u8; 4];
-    raw4.copy_from_slice(&bytes[4..8]);
-    let stored_index = u32::from_le_bytes(raw4);
+    let stored_index = le_u32(&bytes[4..8]);
     if stored_index != segment_index {
         return Err(corrupt(format!(
             "header claims segment {stored_index}, file name says {segment_index}"
@@ -302,68 +401,145 @@ fn parse_segment(
     let mut raw8 = [0u8; 8];
     raw8.copy_from_slice(&bytes[8..16]);
     let base_seq = u64::from_le_bytes(raw8);
-    if base_seq != expected_base_seq {
-        return Err(corrupt(format!(
-            "header claims base sequence {base_seq}, preceding segments hold {expected_base_seq}"
-        )));
-    }
 
     let mut records = Vec::new();
     let mut offset = HEADER_LEN;
-    loop {
+    let frame_fault = loop {
         if offset == bytes.len() {
-            break;
+            break None;
         }
-        let frame_fault = |detail: String| -> Result<bool, StoreError> {
-            if tolerate_torn_tail {
-                Ok(true)
-            } else {
-                Err(corrupt(detail))
-            }
-        };
-        // `frame_fault` never falls through on a hit: it breaks (torn
-        // tail tolerated) or propagates corruption, so the slice reads
-        // below each check stay in bounds.
-        if bytes.len() - offset < FRAME_OVERHEAD
-            && frame_fault(format!("truncated frame header at byte {offset}"))?
-        {
-            break;
+        if bytes.len() - offset < FRAME_OVERHEAD {
+            break Some(format!("truncated frame header at byte {offset}"));
         }
-        raw4.copy_from_slice(&bytes[offset..offset + 4]);
-        let len = u32::from_le_bytes(raw4);
-        raw4.copy_from_slice(&bytes[offset + 4..offset + 8]);
-        let stored_crc = u32::from_le_bytes(raw4);
-        if len > MAX_RECORD_LEN
-            && frame_fault(format!(
+        let len = le_u32(&bytes[offset..offset + 4]);
+        let stored_crc = le_u32(&bytes[offset + 4..offset + 8]);
+        if len > MAX_RECORD_LEN {
+            break Some(format!(
                 "frame length {len} at byte {offset} exceeds the record cap"
-            ))?
-        {
-            break;
+            ));
         }
         let body = offset + FRAME_OVERHEAD;
         let end = body + len as usize;
-        if end > bytes.len() && frame_fault(format!("truncated record at byte {offset}"))? {
-            break;
+        if end > bytes.len() {
+            break Some(format!("truncated record at byte {offset}"));
         }
         let payload = &bytes[body..end];
-        if crc32(payload) != stored_crc && frame_fault(format!("CRC mismatch at byte {offset}"))? {
-            break;
+        if crc32(payload) != stored_crc {
+            break Some(format!("CRC mismatch at byte {offset}"));
         }
         match decode_record(payload) {
             Ok(record) => records.push(record),
-            Err(err) => {
-                if frame_fault(format!("undecodable record at byte {offset}: {err}"))? {
-                    break;
-                }
-            }
+            Err(err) => break Some(format!("undecodable record at byte {offset}: {err}")),
         }
         offset = end;
-    }
+    };
+    let fault = match frame_fault {
+        Some(detail) if !tolerate_torn_tail => Some((0, corrupt(detail))),
+        _ => record_fault(&records, segment_index),
+    };
     Ok(ParsedSegment {
-        base_seq,
+        base_seq: Some(base_seq),
         records,
         clean_len: offset as u64,
         torn_bytes: (bytes.len() - offset) as u64,
+        fault,
+    })
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    let mut raw = [0u8; 4];
+    raw.copy_from_slice(bytes);
+    u32::from_le_bytes(raw)
+}
+
+/// The first record of a segment whose time is non-finite or behind the
+/// record before it, with its position. Stored times were validated at
+/// append; these checks keep hostile hand-written files from poisoning
+/// the order.
+fn record_fault(records: &[Record], segment_index: u32) -> Option<(usize, StoreError)> {
+    let mut previous = f64::NEG_INFINITY;
+    for (position, record) in records.iter().enumerate() {
+        let time_s = record.time_s();
+        if !time_s.is_finite() {
+            return Some((
+                position,
+                StoreError::CorruptSegment {
+                    index: segment_index,
+                    detail: format!("record carries non-finite time {time_s}"),
+                },
+            ));
+        }
+        if time_s < previous {
+            return Some((position, disordered(segment_index)));
+        }
+        previous = time_s;
+    }
+    None
+}
+
+/// Every object `records` observe, ascending, each once: the spans a
+/// closed segment is listed in.
+fn observed_objects(records: &[Record]) -> Vec<usize> {
+    let mut objects: Vec<usize> = records
+        .iter()
+        .filter_map(|record| match record {
+            Record::Observation(observation) => Some(observation.object.index()),
+            _ => None,
+        })
+        .collect();
+    objects.sort_unstable();
+    objects.dedup();
+    objects
+}
+
+/// Reads segments `0..count` on one scoped reader thread and hands each,
+/// as `read` returns it, to `consume` on the calling thread, strictly in
+/// index order, so reading and decoding overlap with `consume`.
+///
+/// The hand-over channel has one slot, so at most two segments are
+/// read ahead of `consume`: one waiting in the channel and one the
+/// thread holds until there is room. The read ends at the first
+/// error in index order, from `read` or from `consume`: the receiver is
+/// dropped, so the thread's next send fails and it stops. A thread that
+/// cannot be spawned is a [`StoreError::Io`], and so is one that
+/// panicked.
+fn read_in_order<T: Send>(
+    dir: &Path,
+    count: u32,
+    mut read: impl FnMut(u32) -> Result<T, StoreError> + Send,
+    mut consume: impl FnMut(u32, T) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let stopped = |detail: &str| StoreError::Io {
+        path: dir.to_path_buf(),
+        detail: detail.to_owned(),
+    };
+    thread::scope(|scope| {
+        let (sender, receiver) = mpsc::sync_channel(1);
+        let reader = thread::Builder::new()
+            .name("segment-reader".to_owned())
+            .spawn_scoped(scope, move || {
+                for index in 0..count {
+                    let parsed = read(index);
+                    let failed = parsed.is_err();
+                    if sender.send(parsed).is_err() || failed {
+                        break;
+                    }
+                }
+            })
+            .map_err(|e| io_error(dir, &e))?;
+        let consumed = (0..count).try_for_each(|index| {
+            let parsed = receiver
+                .recv()
+                .map_err(|_| stopped("the segment reader thread stopped"))??;
+            consume(index, parsed)
+        });
+        // Hang up first: a reader blocked in `send` then wakes to a
+        // failed send and returns, so the join cannot wait forever.
+        drop(receiver);
+        match (consumed, reader.join()) {
+            (Ok(()), Err(_)) => Err(stopped("the segment reader thread panicked")),
+            (consumed, _) => consumed,
+        }
     })
 }
 
@@ -403,7 +579,7 @@ impl ZoneHistoryStore {
         indices.sort_unstable();
 
         let mut store = Self {
-            dir,
+            dir: dir.clone(),
             config,
             closed: Vec::new(),
             spans: BTreeMap::new(),
@@ -412,47 +588,56 @@ impl ZoneHistoryStore {
             high_s: None,
             recovery: RecoveryReport::default(),
         };
+        // Only the segments below the first gap are read, and the gap is
+        // reported once every one of them has recovered cleanly.
+        let contiguous = indices
+            .iter()
+            .enumerate()
+            .take_while(|&(expected, &found)| found as usize == expected)
+            .count();
+        let contiguous = u32::try_from(contiguous)
+            .map_err(|_| StoreError::MissingSegment { index: u32::MAX })?;
         let last = indices.last().copied();
-        for (expected, &found) in indices.iter().enumerate() {
-            let expected = u32::try_from(expected)
-                .map_err(|_| StoreError::MissingSegment { index: u32::MAX })?;
-            if found != expected {
-                return Err(StoreError::MissingSegment { index: expected });
-            }
-            store.recover_segment(found, Some(found) == last)?;
+        read_in_order(
+            &dir,
+            contiguous,
+            |index| {
+                let path = dir.join(segment_file_name(index));
+                let parsed = read_segment(&path, index, Some(index) == last)?;
+                let objects = observed_objects(&parsed.records);
+                Ok((parsed, objects))
+            },
+            |index, (parsed, objects)| {
+                store.recover_segment(index, Some(index) == last, parsed, &objects)
+            },
+        )?;
+        if indices.len() > contiguous as usize {
+            return Err(StoreError::MissingSegment { index: contiguous });
         }
         store.recovery.segments = indices.len();
         Ok(store)
     }
 
-    /// Reads, validates, and registers one existing segment.
-    fn recover_segment(&mut self, index: u32, is_last: bool) -> Result<(), StoreError> {
-        let path = self.dir.join(segment_file_name(index));
-        let bytes = fs::read(&path).map_err(|e| io_error(&path, &e))?;
-        let parsed = parse_segment(&bytes, index, self.next_seq, is_last)?;
-        for record in &parsed.records {
-            let time_s = record.time_s();
-            // Stored times were validated at append; a finite check here
-            // keeps hostile hand-written files from poisoning the order.
-            if !time_s.is_finite() {
-                return Err(StoreError::CorruptSegment {
-                    index,
-                    detail: format!("record carries non-finite time {time_s}"),
-                });
-            }
-            if self.high_s.is_some_and(|high| time_s < high) {
-                return Err(StoreError::CorruptSegment {
-                    index,
-                    detail: "records are not time-ordered".to_owned(),
-                });
-            }
-            self.high_s = Some(time_s);
+    /// Validates and registers one existing segment, read and parsed by
+    /// the reader thread of [`read_in_order`]; `objects` are the objects
+    /// it observes ([`observed_objects`]).
+    fn recover_segment(
+        &mut self,
+        index: u32,
+        is_last: bool,
+        parsed: ParsedSegment,
+        objects: &[usize],
+    ) -> Result<(), StoreError> {
+        parsed.check_in_order(index, self.next_seq, self.high_s)?;
+        if let Some(newest) = parsed.records.last() {
+            self.high_s = Some(newest.time_s());
         }
         self.recovery.records += parsed.records.len() as u64;
         self.recovery.truncated_bytes += parsed.torn_bytes;
-        let base_seq = parsed.base_seq;
+        let base_seq = self.next_seq;
         self.next_seq = base_seq + parsed.records.len() as u64;
 
+        let path = self.dir.join(segment_file_name(index));
         let reopen_as_tail = is_last && parsed.records.len() < self.config.records_per_segment;
         if reopen_as_tail {
             if parsed.torn_bytes > 0 {
@@ -489,7 +674,7 @@ impl ZoneHistoryStore {
                 file.set_len(parsed.clean_len)
                     .map_err(|e| io_error(&path, &e))?;
             }
-            self.index_closed_segment(index, &parsed.records);
+            self.index_closed_segment(index, objects);
             self.closed
                 .push(ClosedSegment::new(base_seq, &parsed.records, path));
         }
@@ -497,15 +682,11 @@ impl ZoneHistoryStore {
     }
 
     /// Lists a freshly closed segment in the span of each object it
-    /// holds.
-    fn index_closed_segment(&mut self, index: SegmentId, records: &[Record]) {
-        for record in records {
-            if let Record::Observation(observation) = record {
-                let span = self.spans.entry(observation.object.index()).or_default();
-                if span.last() != Some(&index) {
-                    span.push(index);
-                }
-            }
+    /// observes: one push per object of `objects`, which are ascending
+    /// and each once ([`observed_objects`]).
+    fn index_closed_segment(&mut self, index: SegmentId, objects: &[usize]) {
+        for &object in objects {
+            self.spans.entry(object).or_default().push(index);
         }
     }
 
@@ -600,7 +781,7 @@ impl ZoneHistoryStore {
             return Ok(());
         };
         open.writer.flush().map_err(|e| io_error(&open.path, &e))?;
-        self.index_closed_segment(open.index, &open.records);
+        self.index_closed_segment(open.index, &observed_objects(&open.records));
         self.closed
             .push(ClosedSegment::new(open.base_seq, &open.records, open.path));
         Ok(())
@@ -650,25 +831,17 @@ impl ZoneHistoryStore {
         self.recovery
     }
 
+    fn closed_segment(&self, index: u32) -> Result<&ClosedSegment, StoreError> {
+        self.closed
+            .get(index as usize)
+            .ok_or(StoreError::MissingSegment { index })
+    }
+
     /// Reads one closed segment strictly (any deviation from what
     /// recovery validated is corruption).
     fn read_closed(&self, index: u32) -> Result<Vec<Record>, StoreError> {
-        let Some(segment) = self.closed.get(index as usize) else {
-            return Err(StoreError::MissingSegment { index });
-        };
-        let bytes = fs::read(&segment.path).map_err(|e| io_error(&segment.path, &e))?;
-        let parsed = parse_segment(&bytes, index, segment.base_seq, false)?;
-        if parsed.records.len() as u64 != segment.records {
-            return Err(StoreError::CorruptSegment {
-                index,
-                detail: format!(
-                    "segment shrank: {} records on disk, {} recovered",
-                    parsed.records.len(),
-                    segment.records
-                ),
-            });
-        }
-        Ok(parsed.records)
+        let segment = self.closed_segment(index)?;
+        segment.check(index, read_segment(&segment.path, index, false)?, None)
     }
 
     /// The most recent observed `(zone, time_s)` for `object` at or
@@ -747,21 +920,39 @@ impl ZoneHistoryStore {
 
     /// Visits every stored record in append order, one segment at a
     /// time: `visit` sees each segment's records once, in segment index
-    /// order, the open tail last. Only one segment is resident at a
-    /// time, so a replay over a long log holds one segment's records,
-    /// never the whole log.
+    /// order, the open tail last. Closed segments are read back and
+    /// checked again — CRCs, decode, base sequence, time order and
+    /// record count, as recovery checked them — on a reader thread at
+    /// most two segments ahead of `visit`, so a replay over a long log
+    /// holds a few segments' records, never the whole log. `visit` can
+    /// refuse a segment: its first error ends the visit, reading stops,
+    /// and that error is returned.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] / [`StoreError::CorruptSegment`] if a
-    /// segment can no longer be read back; segments before it have
-    /// been visited.
-    pub fn visit_segments(&self, mut visit: impl FnMut(&[Record])) -> Result<(), StoreError> {
-        for index in 0..self.closed.len() {
-            visit(&self.read_closed(index as u32)?);
-        }
+    /// segment can no longer be read back, or `visit`'s first error,
+    /// whichever segment comes first; segments before it have been
+    /// visited, and no segment after it.
+    pub fn visit_segments(
+        &self,
+        mut visit: impl FnMut(&[Record]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut high_s = None;
+        read_in_order(
+            &self.dir,
+            self.closed.len() as u32,
+            |index| read_segment(&self.closed_segment(index)?.path, index, false),
+            |index, parsed| {
+                let records = self.closed_segment(index)?.check(index, parsed, high_s)?;
+                if let Some(newest) = records.last() {
+                    high_s = Some(newest.time_s());
+                }
+                visit(&records)
+            },
+        )?;
         if let Some(open) = &self.open {
-            visit(&open.records);
+            visit(&open.records)?;
         }
         Ok(())
     }
@@ -773,7 +964,10 @@ impl ZoneHistoryStore {
     /// As for [`ZoneHistoryStore::visit_segments`].
     pub fn records(&self) -> Result<Vec<Record>, StoreError> {
         let mut out = Vec::with_capacity(self.next_seq as usize);
-        self.visit_segments(|records| out.extend_from_slice(records))?;
+        self.visit_segments(|records| {
+            out.extend_from_slice(records);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -795,6 +989,7 @@ impl ZoneHistoryStore {
                     visit(*observation);
                 }
             }
+            Ok(())
         })
     }
 

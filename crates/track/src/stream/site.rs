@@ -25,6 +25,32 @@ pub struct ZoneTransition {
     pub time_s: f64,
 }
 
+impl ZoneTransition {
+    /// The move `observation` makes from `previous`, its object's
+    /// estimate before it: a first sight moves from nothing, and an
+    /// observation at or after the estimate in another zone moves from
+    /// the estimate's zone. A late observation, or one in the
+    /// estimate's zone, moves nothing.
+    pub(crate) fn moved(
+        observation: &ZoneObservation,
+        previous: Option<(usize, f64)>,
+    ) -> Option<Self> {
+        let from = match previous {
+            None => None,
+            Some((zone, time_s)) if observation.time_s >= time_s && observation.zone != zone => {
+                Some(zone)
+            }
+            Some(_) => return None,
+        };
+        Some(Self {
+            object: observation.object,
+            from,
+            to: observation.zone,
+            time_s: observation.time_s,
+        })
+    }
+}
+
 /// Maps time-ordered raw reads to [`ZoneObservation`]s: the incremental
 /// engine behind [`Site::observations`].
 ///
@@ -109,21 +135,9 @@ impl Operator for LocationTracker {
         let Ok(previous) = self.record(input) else {
             return Vec::new();
         };
-        let moved = match previous {
-            None => Some(None),
-            Some((zone, time_s)) if input.time_s >= time_s && input.zone != zone => {
-                Some(Some(zone))
-            }
-            Some(_) => None,
-        };
-        moved.map_or_else(Vec::new, |from| {
-            vec![ZoneTransition {
-                object: input.object,
-                from,
-                to: input.zone,
-                time_s: input.time_s,
-            }]
-        })
+        ZoneTransition::moved(&input, previous)
+            .into_iter()
+            .collect()
     }
 
     fn advance_watermark(&mut self, _watermark_s: f64) -> Vec<ZoneTransition> {

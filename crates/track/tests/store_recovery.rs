@@ -6,9 +6,10 @@
 //! reports the truncation, while damage below the final segment is a
 //! typed error. These tests drive each failure mode through the real
 //! filesystem: truncating a tail mid-record, flipping a checksummed
-//! byte, deleting a middle segment, deleting the final segment. The
-//! segment visitor that replay streams through is pinned to the same
-//! recovered log.
+//! byte, deleting a middle segment, deleting the final segment. Segments
+//! are read ahead in parallel, so the first fault in index order is
+//! pinned as the error. The segment visitor that replay streams through
+//! is pinned to the same recovered log.
 
 use proptest::prelude::*;
 use rfid_gen2::Epc96;
@@ -336,6 +337,103 @@ fn corrupt_header_magic_is_a_typed_error() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Flips the first payload byte of segment `index`, so its first frame
+/// fails its CRC.
+fn damage_first_frame(dir: &Path, index: u32) {
+    let path = segment_path(dir, index);
+    let mut bytes = fs::read(&path).expect("read segment");
+    bytes[16 + 8] ^= 0xFF;
+    fs::write(&path, &bytes).expect("rewrite segment");
+}
+
+/// Segments are read ahead in parallel, but recovery reports the first
+/// fault in index order: of two corrupt closed segments, the lower.
+#[test]
+fn of_two_corrupt_segments_the_lower_is_the_error() {
+    for (lower, higher) in [(1, 3), (1, 2), (2, 3)] {
+        let dir = store_dir(&format!("two-corrupt-{lower}-{higher}"));
+        seeded_store(&dir, 20, 4);
+        damage_first_frame(&dir, lower);
+        damage_first_frame(&dir, higher);
+        match reopen(&dir, 4) {
+            Err(StoreError::CorruptSegment { index, .. }) if index == lower => {}
+            other => panic!("want CorruptSegment for segment {lower}, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// A gap is reported only when every segment below it is clean; a
+/// corrupt segment below the gap is the error.
+#[test]
+fn a_corrupt_segment_below_a_gap_outranks_the_gap() {
+    let dir = store_dir("corrupt-below-gap");
+    seeded_store(&dir, 20, 4);
+    fs::remove_file(segment_path(&dir, 3)).expect("delete segment 3");
+    match reopen(&dir, 4) {
+        Err(StoreError::MissingSegment { index: 3 }) => {}
+        other => panic!("want MissingSegment for segment 3, got {other:?}"),
+    }
+    damage_first_frame(&dir, 1);
+    match reopen(&dir, 4) {
+        Err(StoreError::CorruptSegment { index: 1, .. }) => {}
+        other => panic!("want CorruptSegment for segment 1, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Within one segment, a header fault outranks a wrong base sequence,
+/// which outranks damaged frames.
+#[test]
+fn a_wrong_base_sequence_outranks_damaged_frames() {
+    let dir = store_dir("base-seq-and-frames");
+    seeded_store(&dir, 10, 4);
+    damage_first_frame(&dir, 1);
+    let middle = segment_path(&dir, 1);
+    let mut bytes = fs::read(&middle).expect("read middle");
+    bytes[8..16].copy_from_slice(&999u64.to_le_bytes());
+    fs::write(&middle, &bytes).expect("rewrite middle");
+    match reopen(&dir, 4) {
+        Err(StoreError::CorruptSegment { index: 1, detail })
+            if detail.contains("base sequence") => {}
+        other => panic!("want the base-sequence fault of segment 1, got {other:?}"),
+    }
+    bytes[0] = b'X';
+    fs::write(&middle, &bytes).expect("rewrite middle");
+    match reopen(&dir, 4) {
+        Err(StoreError::CorruptSegment { index: 1, detail }) if detail == "bad magic" => {}
+        other => panic!("want the header fault of segment 1, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A closed segment damaged on disk after `open` ends a visit there:
+/// the visitor sees exactly the segments before it, then the damaged
+/// segment's error is returned.
+#[test]
+fn a_visit_stops_at_a_segment_damaged_after_open() {
+    for damaged in 0..4u32 {
+        let dir = store_dir(&format!("visit-damaged-{damaged}"));
+        let records = seeded_store(&dir, 18, 4);
+        let store = reopen(&dir, 4).expect("recovery");
+        damage_first_frame(&dir, damaged);
+        let mut visited: Vec<Record> = Vec::new();
+        let mut segments = 0;
+        let result = store.visit_segments(|segment| {
+            segments += 1;
+            visited.extend_from_slice(segment);
+            Ok(())
+        });
+        match result {
+            Err(StoreError::CorruptSegment { index, .. }) if index == damaged => {}
+            other => panic!("want CorruptSegment for segment {damaged}, got {other:?}"),
+        }
+        assert_eq!(segments, damaged);
+        assert_eq!(visited, records[..4 * damaged as usize]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     /// Chopping the final segment at ANY byte length never panics and
     /// always recovers a bit-exact prefix of the appended records.
@@ -400,6 +498,7 @@ proptest! {
             .visit_segments(|segment| {
                 lengths.push(segment.len());
                 visited.extend_from_slice(segment);
+                Ok(())
             })
             .expect("visit");
         prop_assert_eq!(lengths.len(), store.segment_count());

@@ -9,11 +9,13 @@
 //! filter of the time-sorted feed and, interleaved with observations,
 //! to a per-object model, pin `absorb` to one tracker fed the
 //! concatenated feeds, pin the transitions the operator face emits to
-//! an oracle over the feed, and pin the typed rejection of non-finite
-//! times that replaced the old panicking `expect`, and of zones too
-//! large for a history entry.
+//! an oracle over the feed, pin the eviction-aware batch feed to
+//! `push` followed by eviction, and pin the typed rejection of
+//! non-finite times that replaced the old panicking `expect`, and of
+//! zones too large for a history entry.
 
 use proptest::prelude::*;
+use proptest::test_runner::ProptestConfig;
 use rfid_track::stream::Operator;
 use rfid_track::{
     LocationTracker, ObjectHandle, ObjectRegistry, ObserveError, ZoneObservation, ZoneTransition,
@@ -326,6 +328,103 @@ proptest! {
             ));
         }
         prop_assert_eq!(union, tracker_of(&first_fed));
+    }
+}
+
+/// A zone the generator picks: small ones, the largest a history entry
+/// holds, and two above it.
+fn zone_or_out_of_range(pick: u8) -> usize {
+    match pick {
+        0..=3 => usize::from(pick),
+        4 => (1 << 31) - 1,
+        5 => 1 << 31,
+        _ => usize::MAX,
+    }
+}
+
+/// A batch cutoff the generator picks: `rise` added to the running
+/// finite cutoff (so a sequence of batches cuts at rising times that
+/// fall before, inside and after the grid), or one of `-inf`, `+inf`
+/// and `NaN`, which leave the running cutoff where it was.
+fn next_cutoff(running: &mut f64, rise: u8, special: u8) -> f64 {
+    match special {
+        0 => f64::NEG_INFINITY,
+        1 => f64::INFINITY,
+        2 => f64::NAN,
+        _ => {
+            *running += f64::from(rise) * 0.5;
+            *running
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `push_and_evict_before` is `push` on each observation followed by
+    /// `evict_history_before`: over a sequence of batches with rising,
+    /// infinite and NaN cutoffs, fed late and equal-time observations,
+    /// non-finite times and zones above 2^31 - 1, it leaves a tracker
+    /// equal to the reference's, with the same `history_len`, the same
+    /// transitions at the same input positions, and the same answers to
+    /// later `location_of` and `history_of` queries.
+    #[test]
+    fn push_and_evict_before_equals_push_then_evict(
+        batches in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..OBJECTS, 0u8..7, 0u8..24), 0..24),
+                0u8..8,
+                0u8..8,
+            ),
+            1..5,
+        ),
+        start in 0u8..24,
+    ) {
+        let objects = handles();
+        let mut batched = LocationTracker::new(STALENESS_S);
+        let mut reference = LocationTracker::new(STALENESS_S);
+        let mut running = f64::from(start) * 0.5 - 2.0;
+        for (plan, rise, special) in &batches {
+            let cutoff_s = next_cutoff(&mut running, *rise, *special);
+            let fed: Vec<ZoneObservation> = plan
+                .iter()
+                .map(|&(object, zone, step)| ZoneObservation {
+                    object: objects[object],
+                    zone: zone_or_out_of_range(zone),
+                    time_s: grid_or_non_finite(step),
+                    inferred: step % 2 == 1,
+                })
+                .collect();
+            let mut got = Vec::new();
+            batched.push_and_evict_before(fed.iter().copied().enumerate(), cutoff_s, &mut got);
+            let mut want = Vec::new();
+            for (position, observation) in fed.iter().enumerate() {
+                want.extend(
+                    reference
+                        .push(*observation)
+                        .into_iter()
+                        .map(|transition| (position, transition)),
+                );
+            }
+            reference.evict_history_before(cutoff_s);
+            prop_assert_eq!(got, want, "cutoff {}", cutoff_s);
+            prop_assert_eq!(&batched, &reference, "cutoff {}", cutoff_s);
+            prop_assert_eq!(batched.history_len(), reference.history_len());
+        }
+        for object in &objects {
+            prop_assert_eq!(
+                batched.history_of(*object).collect::<Vec<_>>(),
+                reference.history_of(*object).collect::<Vec<_>>()
+            );
+            for probe in 0..48 {
+                let now_s = -0.25 + f64::from(probe) * 0.25;
+                prop_assert_eq!(
+                    batched.location_of(*object, now_s),
+                    reference.location_of(*object, now_s),
+                    "object {:?} at {}", object, now_s
+                );
+            }
+        }
     }
 }
 

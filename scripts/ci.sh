@@ -30,8 +30,10 @@ cargo test --workspace -q
 # The tracking crates again under the release profile, which is how the
 # daemon ships: `debug_assert!` guards are compiled out there and the
 # packed history entry is integer arithmetic, so only a release run
-# tests the code that ships.
-cargo test --release -q -p rfid-track -p rfid-site-server
+# tests the code that ships. These tests drive the store's threaded
+# in-order segment reader, so `timeout` fails the gate on a deadlocked
+# reader instead of hanging it.
+timeout 300 cargo test --release -q -p rfid-track -p rfid-site-server
 
 # Drive the runnable demos end-to-end under a wall-clock budget:
 # `quickstart` is the front-door experience, and `reader_emulation`
