@@ -1,10 +1,11 @@
 //! The `bench_snapshot` binary (`cargo run --release -p rfid-bench --bin
-//! bench_snapshot -- BENCH_<date>.json`) times the memoized hot path
-//! against the unmemoized reference on both a moving and a static
-//! scenario, measures streaming throughput (events/second) through the
-//! full online operator chains, runs the fleet campaign section, and
-//! records everything as JSON; `scripts/bench-snapshot.sh` wraps it
-//! with a dated default filename.
+//! bench_snapshot -- BENCH_<date>.json`) times what no other tool
+//! measures: the memoized hot path against the unmemoized reference on
+//! a moving and a static scenario, events/second through the two online
+//! operator chains, and the fleet campaign. Each case passes an
+//! identity gate before it is timed, and the results are recorded as
+//! JSON; `scripts/bench-snapshot.sh` wraps it with a dated default
+//! filename. The daemon, wire and store are timed by `perfbench`.
 
 /// Formats an `f64` as a JSON number that parses back to exactly the
 /// same bits.

@@ -167,12 +167,6 @@ impl Solid {
         self.pose
     }
 
-    /// Replaces the pose (e.g. as an object moves along its path).
-    #[must_use]
-    pub fn with_pose(self, pose: Pose) -> Solid {
-        Solid { pose, ..self }
-    }
-
     /// Intersects a world-frame ray, returning unclipped `(t_enter, t_exit)`.
     #[must_use]
     pub fn intersect(&self, ray: &Ray) -> Option<(f64, f64)> {

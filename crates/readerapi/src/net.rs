@@ -104,18 +104,6 @@ impl TcpTransport {
         self.peer
     }
 
-    /// Re-arms the read/write deadline on the live connection.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket-option error.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) -> io::Result<()> {
-        self.writer.set_read_timeout(deadline)?;
-        self.writer.set_write_timeout(deadline)?;
-        self.deadline = deadline;
-        Ok(())
-    }
-
     fn classify(&self, err: &io::Error) -> TransportError {
         let classified = TransportError::from_io(err, self.deadline);
         match classified {

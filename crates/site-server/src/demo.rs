@@ -7,7 +7,8 @@
 //! queries over the JSON surface, shut down gracefully, and verify the
 //! drained tracker is **bit-identical** to a batch replay of the same
 //! recorded reads. The synthetic world builders are public so the
-//! benchmark harness can load the same topology at larger scale.
+//! daemon's serve mode and the integration tests can load the same
+//! topology at other sizes.
 
 use crate::counters::IngestCounters;
 use crate::portal::run_portal;

@@ -23,6 +23,12 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+/// The longest request line the server reads, newline excluded.
+/// [`QueryClient`]'s requests are well under 1 KiB. A longer line gets
+/// one error frame, counts in `rpc_errors`, and closes the connection,
+/// so a client cannot grow the daemon's memory before it authenticates.
+pub(crate) const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// What the server should do after answering one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disposition {
@@ -60,7 +66,7 @@ fn ok(result: Json) -> String {
     ]))
 }
 
-fn fail(error: impl Into<String>) -> String {
+pub(crate) fn fail(error: impl Into<String>) -> String {
     frame(&Json::Obj(vec![
         ("ok".into(), Json::Bool(false)),
         ("error".into(), Json::Str(error.into())),

@@ -16,7 +16,7 @@ use crate::rpc::{self, Disposition};
 use crate::session::{drive_session, SessionEnd};
 use rfid_readerapi::{ReaderClient, TcpTransport, WireEventAdapter};
 use rfid_track::{ObjectRegistry, Site, StoreConfig, ZoneHistoryStore};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -210,14 +210,34 @@ impl<'a> SiteServer<'a> {
         };
         let mut writer = write_half;
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
-            // `read_line` may return WouldBlock mid-line; the partial
-            // bytes stay in `line`, so retrying continues the frame.
-            match reader.read_line(&mut line) {
+            // `read_until` may return WouldBlock mid-line; the partial
+            // bytes stay in `line`, so retrying continues the frame. The
+            // `take` stops a line one byte past the cap, so a client
+            // that never sends a newline holds at most that much.
+            let room = rpc::MAX_REQUEST_BYTES + 1 - line.len();
+            match reader
+                .by_ref()
+                .take(room as u64)
+                .read_until(b'\n', &mut line)
+            {
                 Ok(0) => return, // client hung up
                 Ok(_) => {
-                    let request = line.trim_end_matches(['\r', '\n']).to_owned();
+                    if line.len() > rpc::MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+                        ingest.record_rpc_error();
+                        let mut frame = rpc::fail(format!(
+                            "request line exceeds {} bytes",
+                            rpc::MAX_REQUEST_BYTES
+                        ));
+                        frame.push('\n');
+                        let _ = writer.write_all(frame.as_bytes());
+                        return;
+                    }
+                    let Ok(text) = std::str::from_utf8(&line) else {
+                        return; // not UTF-8: no JSON request
+                    };
+                    let request = text.trim_end_matches(['\r', '\n']).to_owned();
                     line.clear();
                     if request.is_empty() {
                         continue;
@@ -293,6 +313,42 @@ mod tests {
                 .expect_err("a non-positive staleness must not serve");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{staleness_s}");
         }
+    }
+
+    #[test]
+    fn an_overlong_request_line_gets_one_error_frame_and_eof() {
+        let site = Site::new();
+        let registry = ObjectRegistry::new();
+        let server = SiteServer::new(&site, &registry, &[], ServerConfig::new("token"));
+        let reader_listener = TcpListener::bind("127.0.0.1:0").expect("bind reader");
+        let query_listener = TcpListener::bind("127.0.0.1:0").expect("bind query");
+        let query_addr = query_listener.local_addr().expect("addr");
+        let shutdown = AtomicBool::new(false);
+        thread::scope(|scope| {
+            let _guard = RaiseOnDrop(&shutdown);
+            let daemon = scope.spawn(|| server.run(&reader_listener, &query_listener, &shutdown));
+            // One byte over the cap and no newline: an uncapped reader
+            // would wait for the rest of the line forever.
+            let stream = TcpStream::connect(query_addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            (&stream)
+                .write_all(&vec![b'x'; rpc::MAX_REQUEST_BYTES + 1])
+                .expect("send");
+            let mut reader = BufReader::new(&stream);
+            let mut frame = String::new();
+            reader.read_line(&mut frame).expect("an error frame");
+            assert!(frame.starts_with(r#"{"ok":false"#), "got: {frame}");
+            frame.clear();
+            let eof = reader.read_line(&mut frame).expect("a closed connection");
+            assert_eq!(eof, 0, "got: {frame}");
+            // The daemon still serves, and counted the refusal.
+            let mut client = QueryClient::connect(query_addr, "token").expect("connect");
+            assert_eq!(client.counter("rpc_errors").expect("counters"), 1);
+            client.shutdown().expect("shutdown rpc");
+            daemon.join().expect("daemon thread").expect("server run");
+        });
     }
 
     #[test]

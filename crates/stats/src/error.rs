@@ -21,11 +21,6 @@ pub enum StatsError {
         /// The offending value, formatted for display.
         value: String,
     },
-    /// A histogram was configured with a degenerate range or zero bins.
-    BadHistogramConfig {
-        /// Human-readable description of the problem.
-        reason: String,
-    },
     /// A sample set contained NaN where a totally ordered computation
     /// (sorting-based quantiles) requires real values.
     NanSample,
@@ -46,9 +41,6 @@ impl fmt::Display for StatsError {
             StatsError::ZeroTrials => write!(f, "proportion requires at least one trial"),
             StatsError::OutOfRange { value } => {
                 write!(f, "value {value} is outside the unit interval")
-            }
-            StatsError::BadHistogramConfig { reason } => {
-                write!(f, "invalid histogram configuration: {reason}")
             }
             StatsError::NanSample => {
                 write!(f, "sample set contains NaN, which has no rank")

@@ -4,18 +4,21 @@
 //! The DSN 2007 paper reports its results as *means with upper and lower
 //! quartiles* (Figures 2 and 4) and as *success proportions* (Tables 1-5).
 //! This crate provides exactly those estimators, plus the supporting pieces a
-//! measurement harness needs: online accumulators, histograms, bootstrap
-//! resampling, and table/bar-chart renderers for terminal reports.
+//! measurement harness needs: a streaming summary whose merge is exactly
+//! associative, batch quantiles, an order-fixed sum, and table/bar-chart
+//! renderers for terminal reports.
 //!
 //! # Examples
 //!
 //! ```
-//! use rfid_stats::{Summary, Proportion};
+//! use rfid_stats::{Proportion, StreamSummary};
 //!
 //! let tags_read = [20.0, 19.0, 20.0, 18.0, 20.0];
-//! let summary = Summary::from_samples(&tags_read);
+//! let summary = StreamSummary::from_samples(&tags_read);
 //! assert_eq!(summary.max(), 20.0);
 //! assert!(summary.mean() > 19.0);
+//! let quartiles = summary.quartiles().unwrap();
+//! assert!(quartiles.lower <= quartiles.median && quartiles.median <= quartiles.upper);
 //!
 //! let detection = Proportion::new(58, 60).unwrap();
 //! assert!(detection.point() > 0.9);
@@ -26,28 +29,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bootstrap;
 mod chart;
 mod error;
-mod histogram;
-mod online;
 mod proportion;
 mod quantile;
 mod stream;
 mod sum;
-mod summary;
 mod table;
 
-pub use bootstrap::{bootstrap_mean_interval, BootstrapConfig};
 pub use chart::BarChart;
 pub use error::StatsError;
-pub use histogram::Histogram;
-pub use online::OnlineStats;
 pub use proportion::{Interval, Proportion};
 pub use quantile::{median, quantile, quantile_sorted, quartiles, Quartiles};
 pub use stream::{
     ExactSum, QuantileSketch, StreamSummary, MAX_TRACKED_ABS, MIN_TRACKED_ABS, QUANTILE_ALPHA,
 };
 pub use sum::ordered_sum;
-pub use summary::Summary;
 pub use table::{Align, Table};

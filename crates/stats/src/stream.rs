@@ -5,7 +5,7 @@
 //! materializing a per-trial `Vec`, and the fold must replay
 //! bit-identically for any chunking of the sample stream and any shape
 //! of the merge tree. Classic streaming estimators fail that bar:
-//! Welford's parallel merge ([`crate::OnlineStats::merge`]) is
+//! Welford's running mean and variance with Chan's parallel merge is
 //! order-sensitive in the last ulp, and compactor-based quantile
 //! sketches (GK, KLL) make data-dependent compaction decisions that
 //! differ between merge orders. This module therefore builds the
@@ -692,7 +692,8 @@ impl QuantileSketch {
 /// statistic; infinities flow through the moments with IEEE semantics
 /// and sort to the quantile extremes. Min/max order by IEEE `total_cmp`
 /// (so `-0.0 < +0.0`); the empty summary reports `+inf`/`-inf`
-/// sentinels like [`crate::OnlineStats`].
+/// sentinels, the identities of [`StreamSummary::min`] and
+/// [`StreamSummary::max`].
 ///
 /// # Examples
 ///
@@ -804,9 +805,8 @@ impl StreamSummary {
         self.sum.value()
     }
 
-    /// Mean over non-NaN samples (`0.0` when there are none, matching
-    /// [`crate::OnlineStats`]); the single rounded division of the
-    /// exact sum.
+    /// Mean over non-NaN samples (`0.0` when there are none); the single
+    /// rounded division of the exact sum.
     #[must_use]
     pub fn mean(&self) -> f64 {
         let numeric = self.n - self.nan;

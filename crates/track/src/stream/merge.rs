@@ -194,15 +194,6 @@ impl<T: Timestamped> SessionMerge<T> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Whether the lane currently has a live session.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::UnknownSession`] for an out-of-range index.
-    pub fn is_attached(&self, session: usize) -> Result<bool, MergeError> {
-        self.lane(session).map(|lane| lane.attached)
-    }
-
     /// Claims a lane for a live session.
     ///
     /// # Errors
@@ -325,12 +316,6 @@ impl<T: Timestamped> SessionMerge<T> {
             }
         }
         out
-    }
-
-    fn lane(&self, session: usize) -> Result<&Lane<T>, MergeError> {
-        self.lanes
-            .get(session)
-            .ok_or(MergeError::UnknownSession(session))
     }
 
     fn lane_mut(&mut self, session: usize) -> Result<&mut Lane<T>, MergeError> {
