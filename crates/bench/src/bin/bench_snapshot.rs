@@ -177,24 +177,38 @@ fn memo_case(scenario: &Scenario, trials: u64, repeats: u32) -> Result<Fields, S
     ])
 }
 
-/// A synthetic read stream shaped like a busy two-portal corridor:
-/// eight tags on four objects, a read every millisecond alternating
-/// readers and antennas.
+/// Objects in the streaming cases, two tags each.
+const OBJECTS: usize = 4;
+
+/// Reads in one pass of an object through a portal.
+const PASS_READS: usize = 750;
+
+/// A synthetic read stream shaped like a busy two-portal corridor, a
+/// read every millisecond. The objects pass in turn: one pass is
+/// `PASS_READS` reads of one object at one portal, alternating its two
+/// tags and the portal's two antennas. An object's passes alternate the
+/// dock and aisle portals, and it is silent for the other objects'
+/// passes (2.25 s, longer than the 0.5 s merge gap) in between, so each
+/// pass is its own sighting and moves the object's zone once.
 fn synthetic_reads(events: usize) -> Vec<ReadEvent> {
     (0..events)
-        .map(|i| ReadEvent {
-            time_s: i as f64 * 1e-3,
-            reader: i % 2,
-            antenna: (i / 2) % 2,
-            tag: i % 8,
-            epc: Epc96::from_u128(i as u128 % 8 + 1),
+        .map(|i| {
+            let pass = i / PASS_READS;
+            let tag = pass % OBJECTS * 2 + i % 2;
+            ReadEvent {
+                time_s: i as f64 * 1e-3,
+                reader: pass / OBJECTS % 2,
+                antenna: (i / 2) % 2,
+                tag,
+                epc: Epc96::from_u128(tag as u128 + 1),
+            }
         })
         .collect()
 }
 
 fn streaming_world() -> (ObjectRegistry, Site) {
     let mut registry = ObjectRegistry::new();
-    for object in 0..4u128 {
+    for object in 0..OBJECTS as u128 {
         let handle = registry.register(format!("case-{object}"));
         registry.attach_tag(handle, Epc96::from_u128(object * 2 + 1));
         registry.attach_tag(handle, Epc96::from_u128(object * 2 + 2));
@@ -438,7 +452,10 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{Sizes, CASES};
+    use super::{
+        streaming_world, synthetic_reads, LocationTracker, Operator, SightingPipeline, Sizes,
+        CASES, OBJECTS,
+    };
 
     /// Runs one case at `--smoke` size; a failed gate fails the test.
     /// The fleet case's resume gate is proven by the experiments crate's
@@ -469,5 +486,24 @@ mod tests {
     #[test]
     fn reads_to_zone_history_equals_batch() {
         passes_gate("reads_to_zone_history");
+    }
+
+    #[test]
+    fn the_streaming_feed_closes_sightings_and_mostly_confirms_zones() {
+        let reads = synthetic_reads(Sizes::new(true, false).stream_events);
+        let (registry, site) = streaming_world();
+        let sightings = SightingPipeline::new(0.5).process(&registry, &reads);
+        assert!(
+            sightings.len() > OBJECTS,
+            "{} sightings of {OBJECTS} objects",
+            sightings.len()
+        );
+        let transitions = LocationTracker::new(5.0).run_batch(site.observations(&registry, &reads));
+        assert!(
+            transitions.len() < reads.len() / 10,
+            "{} zone transitions in {} reads",
+            transitions.len(),
+            reads.len()
+        );
     }
 }

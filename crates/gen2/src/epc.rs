@@ -1,6 +1,5 @@
 //! 96-bit Electronic Product Codes.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -24,12 +23,6 @@ use std::str::FromStr;
 pub struct Epc96([u8; 12]);
 
 impl Epc96 {
-    /// Creates an EPC from its 12 raw bytes (big-endian).
-    #[must_use]
-    pub const fn from_bytes(bytes: [u8; 12]) -> Self {
-        Epc96(bytes)
-    }
-
     /// Creates an EPC from the low 96 bits of a `u128`.
     ///
     /// # Panics
@@ -42,19 +35,6 @@ impl Epc96 {
         let mut out = [0u8; 12];
         out.copy_from_slice(&bytes[4..]);
         Epc96(out)
-    }
-
-    /// Draws a uniformly random EPC.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let mut bytes = [0u8; 12];
-        rng.fill(&mut bytes);
-        Epc96(bytes)
-    }
-
-    /// The 12 raw bytes (big-endian).
-    #[must_use]
-    pub const fn as_bytes(&self) -> &[u8; 12] {
-        &self.0
     }
 
     /// The EPC as the low 96 bits of a `u128`.
@@ -116,8 +96,6 @@ impl FromStr for Epc96 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn u128_round_trip() {
@@ -144,14 +122,6 @@ mod tests {
         assert!("123".parse::<Epc96>().is_err());
         assert!("ZZZZZZZZZZZZZZZZZZZZZZZZ".parse::<Epc96>().is_err());
         assert!("303132333435363738394041".parse::<Epc96>().is_ok());
-    }
-
-    #[test]
-    fn random_epcs_are_distinct() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let a = Epc96::random(&mut rng);
-        let b = Epc96::random(&mut rng);
-        assert_ne!(a, b);
     }
 
     proptest! {

@@ -1,7 +1,6 @@
 //! The reader-side inventory round: slotted ALOHA with the Q algorithm.
 
 use crate::channel::AirChannel;
-use crate::select::{SelFilter, SelectCommand};
 use crate::tag::{InventoriedFlag, Session, TagFsm};
 use crate::timing::LinkTiming;
 use crate::Epc96;
@@ -133,12 +132,6 @@ pub struct InventoryEngine {
     /// because the [`AirChannel`] is queried with the current time and
     /// fades evolve *within* a round.
     pub max_round_s: f64,
-    /// Optional Select issued before each round's Query, partitioning the
-    /// population (e.g. by EPC prefix).
-    pub select: Option<SelectCommand>,
-    /// SL filter carried by the Query; pair with `select` to inventory
-    /// only the selected tags.
-    pub sel_filter: SelFilter,
 }
 
 impl Default for InventoryEngine {
@@ -148,8 +141,6 @@ impl Default for InventoryEngine {
             q_algo: QAlgorithm::default(),
             target: InventoriedFlag::A,
             max_round_s: 0.5,
-            select: None,
-            sel_filter: SelFilter::All,
         }
     }
 }
@@ -162,7 +153,7 @@ impl InventoryEngine {
     /// Tags that cannot hear the opening Query (unpowered / out of range
     /// per the channel) sit the round out, like a dark passive tag.
     pub fn run_round<C: AirChannel + ?Sized>(
-        &mut self,
+        &self,
         tags: &mut [TagFsm],
         channel: &mut C,
         session: Session,
@@ -173,30 +164,12 @@ impl InventoryEngine {
         let mut log = RoundLog::default();
         let mut now = start_time_s;
 
-        // Optional Select: every energized tag that hears it applies it.
-        if let Some(select) = &self.select {
-            now += self.timing.query_s(); // Select air time ~ a Query
-            for (i, tag) in tags.iter_mut().enumerate() {
-                if channel.reader_to_tag_ok(i, now) {
-                    tag.on_select(select, now);
-                }
-            }
-        }
-
-        // Query: tags that hear it and match the target flag (and the SL
-        // filter) join.
+        // Query: tags that hear it and match the target flag join.
         now += self.timing.query_s();
         let mut participating = Vec::new();
         for (i, tag) in tags.iter_mut().enumerate() {
             if channel.reader_to_tag_ok(i, now)
-                && tag.begin_round_filtered(
-                    session,
-                    self.target,
-                    self.sel_filter,
-                    self.q_algo.q0,
-                    now,
-                    &mut rng,
-                )
+                && tag.begin_round(session, self.target, self.q_algo.q0, now, &mut rng)
             {
                 participating.push(i);
             }
@@ -327,7 +300,7 @@ impl InventoryEngine {
     /// This is the reader's "buffered (continuous) read mode" from the
     /// paper's methodology.
     pub fn run_until<C: AirChannel + ?Sized>(
-        &mut self,
+        &self,
         tags: &mut [TagFsm],
         channel: &mut C,
         session: Session,
@@ -362,7 +335,7 @@ mod tests {
     #[test]
     fn perfect_channel_reads_everyone_exactly_once() {
         let mut tags = population(30);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let log = engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, 7);
         assert_eq!(log.reads.len(), 30);
         assert_eq!(log.unique_epcs().len(), 30);
@@ -394,7 +367,7 @@ mod tests {
         // singulation asks the channel three questions (RN16, ACK, EPC)
         // without advancing time between them.
         let mut tags = population(1);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let mut channel = RecordingChannel {
             queries: Vec::new(),
         };
@@ -418,7 +391,7 @@ mod tests {
     #[test]
     fn read_tags_sit_out_the_next_round() {
         let mut tags = population(5);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let first = engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, 1);
         assert_eq!(first.reads.len(), 5);
         // Immediately afterwards (< persistence), all flags are B.
@@ -453,7 +426,7 @@ mod tests {
     #[test]
     fn dead_channel_reads_nothing() {
         let mut tags = population(10);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let mut channel = ErasureChannel::new(0.0, 1.0, 5);
         let log = engine.run_round(&mut tags, &mut channel, Session::S1, 0.0, 9);
         assert!(log.reads.is_empty());
@@ -464,7 +437,7 @@ mod tests {
     #[test]
     fn lossy_reverse_link_loses_some_tags() {
         let mut tags = population(20);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         // Both RN16 and EPC must survive, so p(read per try) = 0.09; the
         // round budget bounds the retries.
         let mut channel = ErasureChannel::new(1.0, 0.3, 11);
@@ -477,7 +450,7 @@ mod tests {
     #[test]
     fn round_budget_bounds_duration() {
         let mut tags = population(10);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         // Reverse link almost dead: without the budget the round would
         // retry indefinitely.
         let mut channel = ErasureChannel::new(1.0, 0.01, 3);
@@ -492,7 +465,7 @@ mod tests {
     #[test]
     fn continuous_mode_catches_stragglers() {
         let mut tags = population(20);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         // Harsh channel per round, but many rounds.
         let mut channel = ErasureChannel::new(0.9, 0.6, 17);
         let logs = engine.run_until(&mut tags, &mut channel, Session::S1, 0.0, 5.0, 23);
@@ -506,7 +479,7 @@ mod tests {
 
     #[test]
     fn round_duration_scales_with_population() {
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let mut small = population(2);
         let mut large = population(40);
         let t_small = engine
@@ -522,7 +495,7 @@ mod tests {
     fn per_tag_time_is_near_twenty_ms_for_big_populations() {
         // Amortized per-tag time including overhead: the paper's ~0.02 s.
         let mut tags = population(50);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let log = engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, 2);
         let per_tag = log.duration_s / log.reads.len() as f64;
         assert!(
@@ -533,7 +506,7 @@ mod tests {
 
     #[test]
     fn logs_are_deterministic_given_seed() {
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let mut tags_a = population(15);
         let mut tags_b = population(15);
         let log_a = engine.run_round(&mut tags_a, &mut PerfectChannel, Session::S1, 0.0, 99);
@@ -542,88 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn select_confines_the_round_to_matching_tags() {
-        use crate::select::SelectCommand;
-        // Tags 0-9 share an EPC prefix; tags 10-19 do not.
-        let mut tags: Vec<TagFsm> = (0..10)
-            .map(|i| TagFsm::new(Epc96::from_u128((0xAB << 88) | i)))
-            .chain((0..10).map(|i| TagFsm::new(Epc96::from_u128((0xCD << 88) | i))))
-            .collect();
-        let mut engine = InventoryEngine {
-            select: Some(SelectCommand::matching_epc_prefix(
-                &Epc96::from_u128(0xAB << 88),
-                8,
-            )),
-            sel_filter: SelFilter::Selected,
-            ..InventoryEngine::default()
-        };
-        let log = engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, 3);
-        assert_eq!(log.reads.len(), 10, "only the matching half is read");
-        for read in &log.reads {
-            assert!(read.tag_index < 10, "read {read:?} outside the selection");
-        }
-    }
-
-    #[test]
-    fn access_flow_reads_tid_after_singulation() {
-        use crate::memory::MemoryBank;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        let mut tag = TagFsm::new(Epc96::from_u128(0x42));
-        tag.begin_round(Session::S1, InventoriedFlag::A, 0, 0.0, &mut rng);
-        let rn16 = tag.rn16();
-        assert!(tag.on_ack(rn16, 0.0));
-        // Zero access password: Req_RN lands directly in Secured.
-        let handle = tag
-            .on_req_rn(&mut rng)
-            .expect("acknowledged tag grants a handle");
-        assert_eq!(tag.state(), crate::TagState::Secured);
-        let tid = tag.access_read(handle, MemoryBank::Tid, 0, 4).unwrap();
-        assert_eq!(tid[0], 0xE2);
-        // Wrong handle is rejected.
-        assert!(tag
-            .access_read(handle.wrapping_add(1), MemoryBank::Tid, 0, 1)
-            .is_err());
-        // Writes work in Secured.
-        tag.access_write(handle, MemoryBank::User, 0, &[0xBE, 0xEF])
-            .unwrap();
-        assert_eq!(
-            tag.memory().read(MemoryBank::User, 0, 1).unwrap(),
-            vec![0xBE, 0xEF]
-        );
-    }
-
-    #[test]
-    fn access_password_gates_secured_state() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-        let mut tag = TagFsm::new(Epc96::from_u128(7));
-        tag.memory_mut().set_access_password(0x1234_5678);
-        tag.begin_round(Session::S1, InventoriedFlag::A, 0, 0.0, &mut rng);
-        let rn16 = tag.rn16();
-        tag.on_ack(rn16, 0.0);
-        let handle = tag.on_req_rn(&mut rng).unwrap();
-        assert_eq!(
-            tag.state(),
-            crate::TagState::Open,
-            "password set: Open first"
-        );
-        // Writes refused in Open.
-        assert!(tag
-            .access_write(handle, crate::MemoryBank::User, 0, &[1, 2])
-            .is_err());
-        assert!(!tag.on_access(0xBAD0_BAD0), "wrong password rejected");
-        assert!(tag.on_access(0x1234_5678));
-        assert_eq!(tag.state(), crate::TagState::Secured);
-        assert!(tag
-            .access_write(handle, crate::MemoryBank::User, 0, &[1, 2])
-            .is_ok());
-    }
-
-    #[test]
     fn slot_accounting_adds_up() {
         let mut tags = population(12);
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let log = engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, 4);
         assert_eq!(
             log.slots,

@@ -26,7 +26,7 @@
 //! use rfid_gen2::{Epc96, InventoryEngine, PerfectChannel, Session, TagFsm};
 //!
 //! let mut tags: Vec<TagFsm> = (0..10).map(|i| TagFsm::new(Epc96::from_u128(i))).collect();
-//! let mut engine = InventoryEngine::default();
+//! let engine = InventoryEngine::default();
 //! let log = engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, 0xFEED);
 //! assert_eq!(log.reads.len(), 10, "a perfect channel reads every tag");
 //! assert!(log.duration_s > 0.0);
@@ -36,21 +36,15 @@
 #![warn(missing_docs)]
 
 mod channel;
-mod crc;
 mod epc;
 mod interference;
 mod inventory;
-mod memory;
-mod select;
 mod tag;
 mod timing;
 
 pub use channel::{AirChannel, ErasureChannel, PerfectChannel};
-pub use crc::{crc16, crc16_verify, crc5};
 pub use epc::Epc96;
 pub use interference::{InterferenceModel, InterferenceOutcome, ReaderRf};
 pub use inventory::{InventoryEngine, QAlgorithm, RoundLog, SlotOutcome, TagRead};
-pub use memory::{MemoryBank, MemoryError, TagMemory};
-pub use select::{apply_select, SelFilter, SelectAction, SelectCommand, SelectTarget};
-pub use tag::{AccessError, InventoriedFlag, Session, TagFsm, TagState};
+pub use tag::{InventoriedFlag, Session, TagFsm, TagState};
 pub use timing::LinkTiming;

@@ -1,7 +1,5 @@
 //! The Gen-2 tag state machine.
 
-use crate::memory::{MemoryBank, MemoryError, TagMemory};
-use crate::select::{apply_select, SelFilter, SelectCommand};
 use crate::Epc96;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -78,49 +76,12 @@ pub enum TagState {
     Reply,
     /// RN16 acknowledged; backscattered PC+EPC+CRC.
     Acknowledged,
-    /// Access state after Req_RN (not used by the tracking experiments).
-    Open,
-    /// Secured access state.
-    Secured,
-    /// Permanently disabled.
-    Killed,
 }
 
 /// Sentinel slot value for a tag that lost arbitration (collision or missed
 /// ACK) and stays silent until the next Query/QueryAdjust redraw, matching
 /// the spec's slot-counter wrap behavior.
 const SLOT_SILENT: u32 = u32::MAX;
-
-/// Error from an over-the-air memory access.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum AccessError {
-    /// The tag is not in an access state (Open/Secured).
-    WrongState,
-    /// The command's handle did not match the tag's.
-    BadHandle,
-    /// The underlying memory rejected the operation.
-    Memory(MemoryError),
-}
-
-impl std::fmt::Display for AccessError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AccessError::WrongState => write!(f, "tag is not in an access state"),
-            AccessError::BadHandle => write!(f, "access handle mismatch"),
-            AccessError::Memory(err) => write!(f, "memory access failed: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for AccessError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AccessError::Memory(err) => Some(err),
-            _ => None,
-        }
-    }
-}
 
 /// A simulated Gen-2 tag: identity plus protocol state.
 ///
@@ -148,71 +109,25 @@ pub struct TagFsm {
     state: TagState,
     slot: u32,
     rn16: u16,
-    handle: u16,
     flags: [InventoriedFlag; 4],
     flag_touched_at: [f64; 4],
     session: Session,
     reads: u64,
-    sl: bool,
-    memory: TagMemory,
 }
 
 impl TagFsm {
-    /// Creates a tag in the Ready state with all flags at A and eight
-    /// words of user memory.
+    /// Creates a tag in the Ready state with all flags at A.
     #[must_use]
     pub fn new(epc: Epc96) -> Self {
-        Self::with_memory(epc, TagMemory::new(epc, 8))
-    }
-
-    /// Creates a tag with explicit memory contents.
-    #[must_use]
-    pub fn with_memory(epc: Epc96, memory: TagMemory) -> Self {
         Self {
             epc,
             state: TagState::Ready,
             slot: SLOT_SILENT,
             rn16: 0,
-            handle: 0,
             flags: [InventoriedFlag::A; 4],
             flag_touched_at: [f64::NEG_INFINITY; 4],
             session: Session::S1,
             reads: 0,
-            sl: false,
-            memory,
-        }
-    }
-
-    /// The tag's memory banks.
-    #[must_use]
-    pub fn memory(&self) -> &TagMemory {
-        &self.memory
-    }
-
-    /// Mutable access to the tag's memory (provisioning; over-the-air
-    /// writes go through [`TagFsm::access_write`]).
-    pub fn memory_mut(&mut self) -> &mut TagMemory {
-        &mut self.memory
-    }
-
-    /// Current SL flag.
-    #[must_use]
-    pub fn sl(&self) -> bool {
-        self.sl
-    }
-
-    /// Handles a Select command (the tag must be energized to hear it).
-    pub fn on_select(&mut self, command: &SelectCommand, now_s: f64) {
-        let current_flag = match command.target {
-            crate::select::SelectTarget::Inventoried(session) => self.flag(session, now_s),
-            crate::select::SelectTarget::Sl => InventoriedFlag::A,
-        };
-        let (sl, flag_update) = apply_select(command, &self.memory, self.sl, current_flag);
-        self.sl = sl;
-        if let Some((session, flag)) = flag_update {
-            let i = session.index();
-            self.flags[i] = flag;
-            self.flag_touched_at[i] = now_s;
         }
     }
 
@@ -266,27 +181,8 @@ impl TagFsm {
         now_s: f64,
         rng: &mut R,
     ) -> bool {
-        self.begin_round_filtered(session, target, SelFilter::All, q, now_s, rng)
-    }
-
-    /// Handles a Query carrying an SL filter: join only if both the
-    /// session flag and the SL state match.
-    ///
-    /// Returns `true` if the tag joined the round.
-    pub fn begin_round_filtered<R: Rng + ?Sized>(
-        &mut self,
-        session: Session,
-        target: InventoriedFlag,
-        sel: SelFilter,
-        q: u8,
-        now_s: f64,
-        rng: &mut R,
-    ) -> bool {
-        if self.state == TagState::Killed {
-            return false;
-        }
         self.session = session;
-        if self.flag(session, now_s) != target || !sel.admits(self.sl) {
+        if self.flag(session, now_s) != target {
             self.state = TagState::Ready;
             return false;
         }
@@ -360,107 +256,17 @@ impl TagFsm {
         }
     }
 
-    /// Handles a Req_RN in the Acknowledged state: the tag generates its
-    /// access handle and moves to Open (or Secured if the access password
-    /// is zero, per spec). Returns the handle.
-    pub fn on_req_rn<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u16> {
-        if self.state != TagState::Acknowledged {
-            return None;
-        }
-        self.handle = rng.gen();
-        self.state = if self.memory.access_password() == 0 {
-            TagState::Secured
-        } else {
-            TagState::Open
-        };
-        Some(self.handle)
-    }
-
-    /// Handles an Access command carrying the access password: Open ->
-    /// Secured on a match.
-    ///
-    /// Returns `true` if the password was accepted.
-    pub fn on_access(&mut self, password: u32) -> bool {
-        if self.state == TagState::Open && password == self.memory.access_password() {
-            self.state = TagState::Secured;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Handles a Read command (valid in Open/Secured with the right
-    /// handle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError::WrongState`] outside Open/Secured,
-    /// [`AccessError::BadHandle`] on a handle mismatch, and
-    /// [`AccessError::Memory`] for bad addresses.
-    pub fn access_read(
-        &self,
-        handle: u16,
-        bank: MemoryBank,
-        word_ptr: u32,
-        words: u32,
-    ) -> Result<Vec<u8>, AccessError> {
-        self.check_access(handle)?;
-        self.memory
-            .read(bank, word_ptr, words)
-            .map_err(AccessError::Memory)
-    }
-
-    /// Handles a Write command (valid in Secured; Open only for unlocked
-    /// banks — we require Secured for simplicity, matching the common
-    /// reader default of zero access passwords, which lands tags in
-    /// Secured directly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccessError::WrongState`] outside Secured,
-    /// [`AccessError::BadHandle`] on handle mismatch, and
-    /// [`AccessError::Memory`] for locked banks or bad addresses.
-    pub fn access_write(
-        &mut self,
-        handle: u16,
-        bank: MemoryBank,
-        word_ptr: u32,
-        data: &[u8],
-    ) -> Result<(), AccessError> {
-        if self.state != TagState::Secured {
-            return Err(AccessError::WrongState);
-        }
-        if handle != self.handle {
-            return Err(AccessError::BadHandle);
-        }
-        self.memory
-            .write(bank, word_ptr, data)
-            .map_err(AccessError::Memory)
-    }
-
-    fn check_access(&self, handle: u16) -> Result<(), AccessError> {
-        if !matches!(self.state, TagState::Open | TagState::Secured) {
-            return Err(AccessError::WrongState);
-        }
-        if handle != self.handle {
-            return Err(AccessError::BadHandle);
-        }
-        Ok(())
-    }
-
     /// Models loss of power: protocol state resets; S0 flags decay
     /// immediately, longer-persistence flags keep their timestamps (decay
     /// is evaluated lazily by [`TagFsm::flag`]).
     pub fn on_power_loss(&mut self, now_s: f64) {
-        if self.state != TagState::Killed {
-            self.state = TagState::Ready;
-            self.slot = SLOT_SILENT;
-            // S0 decays with its (short) persistence from *now*.
-            let i = Session::S0.index();
-            if self.flags[i] == InventoriedFlag::B {
-                self.flag_touched_at[i] =
-                    self.flag_touched_at[i].min(now_s - Session::S0.persistence_s());
-            }
+        self.state = TagState::Ready;
+        self.slot = SLOT_SILENT;
+        // S0 decays with its (short) persistence from *now*.
+        let i = Session::S0.index();
+        if self.flags[i] == InventoriedFlag::B {
+            self.flag_touched_at[i] =
+                self.flag_touched_at[i].min(now_s - Session::S0.persistence_s());
         }
     }
 
@@ -621,12 +427,10 @@ mod tests {
     }
 
     #[test]
-    fn killed_tags_never_join() {
-        let mut tag = fresh();
-        tag.state = TagState::Killed;
-        let mut r = rng();
-        assert!(!tag.begin_round(Session::S1, InventoriedFlag::A, 4, 0.0, &mut r));
-        assert_eq!(tag.state(), TagState::Killed);
+    fn a_tag_is_a_flat_64_byte_value() {
+        // Every trial builds one TagFsm per simulated tag: no heap
+        // buffers, one cache line.
+        assert_eq!(std::mem::size_of::<TagFsm>(), 64);
     }
 
     #[test]

@@ -19,7 +19,6 @@ enum Stimulus {
     AckCorrect,
     AckWrong,
     Nak,
-    ReqRn,
     PowerLoss,
     Singulate,
 }
@@ -32,7 +31,6 @@ fn stimulus_strategy() -> impl Strategy<Value = Stimulus> {
         Just(Stimulus::AckCorrect),
         Just(Stimulus::AckWrong),
         Just(Stimulus::Nak),
-        Just(Stimulus::ReqRn),
         Just(Stimulus::PowerLoss),
         Just(Stimulus::Singulate),
     ]
@@ -74,14 +72,6 @@ proptest! {
                     prop_assert!(!tag.on_ack(rn, time), "wrong RN16 never accepted");
                 }
                 Stimulus::Nak => tag.on_nak(),
-                Stimulus::ReqRn => {
-                    let handle = tag.on_req_rn(&mut rng);
-                    prop_assert_eq!(
-                        handle.is_some(),
-                        before_state == TagState::Acknowledged,
-                        "Req_RN is honored exactly in Acknowledged"
-                    );
-                }
                 Stimulus::PowerLoss => {
                     tag.on_power_loss(time);
                     prop_assert_eq!(tag.state(), TagState::Ready);
@@ -110,7 +100,7 @@ proptest! {
         let mut tags: Vec<TagFsm> = (0..population)
             .map(|i| TagFsm::new(Epc96::from_u128(i as u128)))
             .collect();
-        let mut engine = InventoryEngine {
+        let engine = InventoryEngine {
             q_algo: QAlgorithm { q0, ..QAlgorithm::default() },
             ..InventoryEngine::default()
         };
@@ -139,7 +129,7 @@ proptest! {
         let mut tags: Vec<TagFsm> = (0..population)
             .map(|i| TagFsm::new(Epc96::from_u128(i as u128)))
             .collect();
-        let mut engine = InventoryEngine::default();
+        let engine = InventoryEngine::default();
         let mut channel = ErasureChannel::new(p_forward, p_reverse, seed);
         let log = engine.run_round(&mut tags, &mut channel, Session::S1, 0.0, seed ^ 0xABCD);
         prop_assert!(log.reads.len() <= population);
@@ -162,7 +152,7 @@ proptest! {
             let mut tags: Vec<TagFsm> = (0..population)
                 .map(|i| TagFsm::new(Epc96::from_u128(i as u128)))
                 .collect();
-            let mut engine = InventoryEngine::default();
+            let engine = InventoryEngine::default();
             engine.run_round(&mut tags, &mut PerfectChannel, Session::S1, 0.0, seed)
         };
         prop_assert_eq!(run(), run());

@@ -54,7 +54,6 @@ mod channel;
 pub mod counters;
 mod events;
 mod executor;
-mod export;
 mod motion;
 mod precompute;
 mod rng;
@@ -69,7 +68,6 @@ pub use channel::{ChannelParams, PortalChannel};
 pub use counters::CountersSnapshot;
 pub use events::EventQueue;
 pub use executor::{TrialExecutor, FOLD_BLOCK, THREADS_ENV};
-pub use export::{reads_to_csv, rounds_to_csv, write_reads_csv, write_rounds_csv};
 pub use motion::Motion;
 pub use precompute::ScenarioCache;
 pub use rng::{mix64, RngStream};

@@ -287,11 +287,13 @@ fn run_scenario_core(
             None => PortalChannel::new(world, ev.reader, ev.port, &scenario.channel, trial)
                 .without_memo(),
         };
-        let mut engine = scenario.engine.clone();
         let round_seed = trial.value(&[0x0F0F, ev.reader as u64, ev.round_no]);
         // audit:allow(wall-clock, reason = "perf counter only: elapsed wall time is recorded for diagnostics and never steers the simulation")
         let round_started = Instant::now();
-        let log = engine.run_round(&mut fsms, &mut channel, scenario.session, t, round_seed);
+        let log =
+            scenario
+                .engine
+                .run_round(&mut fsms, &mut channel, scenario.session, t, round_seed);
         counters::record_round(log.reads.len() as u64, round_started.elapsed());
         for read in &log.reads {
             sink(SimStreamEvent::Read(ReadEvent {
@@ -390,8 +392,7 @@ pub fn run_single_round_with(
         trial,
         cache,
     );
-    let mut engine = scenario.engine.clone();
-    let log = engine.run_round(
+    let log = scenario.engine.run_round(
         &mut fsms,
         &mut channel,
         scenario.session,

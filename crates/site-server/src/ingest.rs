@@ -552,30 +552,6 @@ impl<'a> SharedIngest<'a> {
         for batch in batches {
             self.apply(batch);
         }
-        // Flush each shard's chain tail. The observation stage is
-        // stateless and the tracker holds no windows, so the tails are
-        // empty today; the discipline stays so a future windowed stage
-        // in the shard chain drains correctly (tails flush per shard,
-        // in shard order, after every routed event).
-        let mut tail_seq = {
-            let state = self.lock();
-            state.next_seq
-        };
-        for slot in &self.shards {
-            let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let tail: Vec<ZoneObservation> = state.observe.finish();
-            for observation in tail {
-                let emitted = state.tracker.push(observation);
-                state
-                    .transitions
-                    .extend(emitted.into_iter().map(|transition| (tail_seq, transition)));
-                tail_seq += 1;
-            }
-            let last = state.tracker.finish();
-            state
-                .transitions
-                .extend(last.into_iter().map(|transition| (tail_seq, transition)));
-        }
     }
 
     /// Aggregate counter snapshot. The `transitions` tally is summed

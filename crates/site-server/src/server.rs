@@ -234,17 +234,26 @@ impl<'a> SiteServer<'a> {
                         let _ = writer.write_all(frame.as_bytes());
                         return;
                     }
-                    let Ok(text) = std::str::from_utf8(&line) else {
-                        return; // not UTF-8: no JSON request
+                    let (mut frame, disposition) = match std::str::from_utf8(&line) {
+                        Ok(text) => {
+                            let request = text.trim_end_matches(['\r', '\n']);
+                            if request.is_empty() {
+                                line.clear();
+                                continue;
+                            }
+                            rpc::dispatch(request, ingest, &self.config.auth_token)
+                        }
+                        // Like unparseable JSON: an error frame, and the
+                        // connection keeps serving.
+                        Err(_) => {
+                            ingest.record_rpc_error();
+                            (
+                                rpc::fail("malformed request: line is not UTF-8"),
+                                Disposition::Continue,
+                            )
+                        }
                     };
-                    let request = text.trim_end_matches(['\r', '\n']).to_owned();
                     line.clear();
-                    if request.is_empty() {
-                        continue;
-                    }
-                    let (response, disposition) =
-                        rpc::dispatch(&request, ingest, &self.config.auth_token);
-                    let mut frame = response;
                     frame.push('\n');
                     if writer.write_all(frame.as_bytes()).is_err() {
                         return;
@@ -278,6 +287,7 @@ impl<'a> SiteServer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::portal::run_portal;
     use crate::rpc::QueryClient;
     use rfid_gen2::Epc96;
@@ -346,6 +356,44 @@ mod tests {
             // The daemon still serves, and counted the refusal.
             let mut client = QueryClient::connect(query_addr, "token").expect("connect");
             assert_eq!(client.counter("rpc_errors").expect("counters"), 1);
+            client.shutdown().expect("shutdown rpc");
+            daemon.join().expect("daemon thread").expect("server run");
+        });
+    }
+
+    #[test]
+    fn a_non_utf8_request_line_gets_an_error_frame_and_the_connection_serves_on() {
+        let site = Site::new();
+        let registry = ObjectRegistry::new();
+        let server = SiteServer::new(&site, &registry, &[], ServerConfig::new("token"));
+        let reader_listener = TcpListener::bind("127.0.0.1:0").expect("bind reader");
+        let query_listener = TcpListener::bind("127.0.0.1:0").expect("bind query");
+        let query_addr = query_listener.local_addr().expect("addr");
+        let shutdown = AtomicBool::new(false);
+        thread::scope(|scope| {
+            let _guard = RaiseOnDrop(&shutdown);
+            let daemon = scope.spawn(|| server.run(&reader_listener, &query_listener, &shutdown));
+            let stream = TcpStream::connect(query_addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            (&stream)
+                .write_all(b"\xff\xfe{\"token\":\"token\",\"method\":\"counters\"}\n")
+                .expect("send");
+            (&stream)
+                .write_all(b"{\"token\":\"token\",\"method\":\"counters\"}\n")
+                .expect("send");
+            let mut reader = BufReader::new(&stream);
+            let mut frame = String::new();
+            reader.read_line(&mut frame).expect("an error frame");
+            assert!(frame.starts_with(r#"{"ok":false"#), "got: {frame}");
+            frame.clear();
+            reader.read_line(&mut frame).expect("a served response");
+            let doc = Json::parse(frame.trim_end()).expect("a JSON frame");
+            assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{frame}");
+            let rpc_errors = doc.get("result").and_then(|r| r.get("rpc_errors"));
+            assert_eq!(rpc_errors.and_then(Json::as_f64), Some(1.0), "{frame}");
+            let mut client = QueryClient::connect(query_addr, "token").expect("connect");
             client.shutdown().expect("shutdown rpc");
             daemon.join().expect("daemon thread").expect("server run");
         });

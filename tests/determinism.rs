@@ -1,13 +1,14 @@
 //! Cross-crate determinism guarantees: whole simulation runs are pure
 //! functions of (scenario, seed).
 
+use rfid_repro::experiments::campaign::run_campaign;
 use rfid_repro::experiments::scenarios::{
     human_pass_scenario, object_pass_scenario, BadgeSpot, BoxFace, HumanPassConfig,
     ObjectPassConfig,
 };
 use rfid_repro::experiments::Calibration;
 use rfid_repro::geom::{Pose, Rotation, Vec3};
-use rfid_repro::sim::{run_scenario, Motion, ScenarioBuilder};
+use rfid_repro::sim::{run_scenario, CampaignSpec, Motion, ScenarioBuilder, TrialExecutor};
 
 fn simple_pass() -> rfid_repro::sim::Scenario {
     let facing = Rotation::between(Vec3::Y, -Vec3::Y).expect("antiparallel");
@@ -79,5 +80,27 @@ fn reads_are_time_ordered_and_within_duration() {
             // after it.
             assert!(read.time_s <= scenario.duration_s + 1.0);
         }
+    }
+}
+
+/// The smoke campaign's state digests, pinned. They are ROADMAP item 2's
+/// reproduction gate: a change that moves one random draw, time step or
+/// channel query anywhere on the campaign path moves these, where a
+/// same-build comparison would not notice. Computed on x86_64 Linux; a
+/// change to them needs its reason recorded in CHANGES.md.
+#[test]
+fn smoke_campaign_digests_are_pinned() {
+    for (seed, digest) in [
+        (2007, 0xac03_1b32_8400_eea8_u64),
+        (11, 0xcd58_8201_3959_4d00),
+        (5, 0xcfd2_64e5_7353_cfaf),
+    ] {
+        let state = run_campaign(&TrialExecutor::new(), &CampaignSpec::smoke(seed));
+        assert_eq!(
+            state.digest(),
+            digest,
+            "seed {seed}: {:#018x}",
+            state.digest()
+        );
     }
 }
