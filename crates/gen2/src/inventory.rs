@@ -197,20 +197,22 @@ impl InventoryEngine {
                     tags[i].on_query_adjust(q, &mut rng);
                 }
             }
-            // Who is replying in this slot?
-            let responders: Vec<usize> = participating
+            // Who is replying in this slot? The first two repliers
+            // settle the slot; a collision NAKs every replier in a second
+            // pass.
+            let mut responders = participating
                 .iter()
                 .copied()
-                .filter(|&i| tags[i].state() == crate::TagState::Reply)
-                .collect();
+                .filter(|&i| tags[i].state() == crate::TagState::Reply);
+            let (first, second) = (responders.next(), responders.next());
 
-            let outcome = match responders.len() {
-                0 => {
+            let outcome = match (first, second) {
+                (None, _) => {
                     now += self.timing.empty_slot_s();
                     qfp = (qfp - self.q_algo.c).max(f64::from(self.q_algo.min_q));
                     SlotOutcome::Empty
                 }
-                1 => {
+                (Some(i), None) => {
                     // A full singulation queries the channel three times at
                     // the *same* (tag, now): RN16 backscatter, ACK command,
                     // EPC backscatter. `now` only advances once the slot's
@@ -219,7 +221,6 @@ impl InventoryEngine {
                     // — the repeat queries are free, and the per-query RNG
                     // is addressed by identity so the answers are
                     // unchanged.
-                    let i = responders[0];
                     let rn16_ok = channel.tag_to_reader_ok(i, now);
                     if !rn16_ok {
                         now += self.timing.collision_slot_s();
@@ -253,10 +254,12 @@ impl InventoryEngine {
                         }
                     }
                 }
-                _ => {
+                (Some(_), Some(_)) => {
                     now += self.timing.collision_slot_s();
-                    for &i in &responders {
-                        tags[i].on_nak();
+                    for &i in &participating {
+                        if tags[i].state() == crate::TagState::Reply {
+                            tags[i].on_nak();
+                        }
                     }
                     qfp = (qfp + self.q_algo.c).min(f64::from(self.q_algo.max_q));
                     SlotOutcome::Collision

@@ -26,7 +26,8 @@ pub struct IngestCounters {
     pub events_ingested: u64,
     /// Events released past the global watermark into the tracker.
     pub events_released: u64,
-    /// Zone transitions the tracker emitted.
+    /// Zone transitions the tracker emitted this run; those of a
+    /// store's earlier runs are not counted.
     pub transitions: u64,
     /// Queries answered successfully.
     pub queries_served: u64,

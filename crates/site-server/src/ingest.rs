@@ -58,7 +58,9 @@ pub struct ServerReport {
     /// In memory mode it is the union of the shard trackers; in durable
     /// mode it is a replay of the store, which is the canonical log.
     pub tracker: LocationTracker,
-    /// Every zone transition, in canonical stream order.
+    /// Every zone transition, in canonical stream order. In durable
+    /// mode these are the transitions of the whole store, the runs
+    /// before a restart included.
     pub transitions: Vec<ZoneTransition>,
     /// Ingest/query counters at shutdown.
     pub counters: IngestCounters,
@@ -86,7 +88,13 @@ struct IngestState {
 struct ShardState<'a> {
     observe: ObservationStream<'a>,
     tracker: LocationTracker,
+    /// The shard's transitions, tagged with their release sequence
+    /// numbers. Only memory mode keeps them: a durable report takes its
+    /// transitions from the store, so a durable shard clears them after
+    /// every batch.
     transitions: Vec<(u64, ZoneTransition)>,
+    /// Transitions the shard emitted this run, in either mode.
+    emitted: u64,
     counters: ShardCounters,
     /// Tickets applied so far; ticket N may apply only when this is N.
     applied_tickets: u64,
@@ -166,6 +174,7 @@ impl<'a> SharedIngest<'a> {
                         observe: ObservationStream::new(site, registry),
                         tracker: LocationTracker::new(staleness_s),
                         transitions: Vec::new(),
+                        emitted: 0,
                         counters: ShardCounters::default(),
                         applied_tickets: 0,
                     }),
@@ -177,31 +186,37 @@ impl<'a> SharedIngest<'a> {
     }
 
     /// Creates a durable plane backed by an opened
-    /// [`ZoneHistoryStore`]: observations recovered from the store are
-    /// replayed into the shard trackers one segment at a time (so live
-    /// queries resume where the previous run stopped), new releases are
-    /// appended to the store inside the release critical section, and
-    /// shard history is evicted as it becomes durable — bounding
-    /// resident memory.
+    /// [`ZoneHistoryStore`]: the shard trackers resume from what the
+    /// store recovered, so live queries continue where the previous run
+    /// stopped; new releases are appended to the store inside the
+    /// release critical section; and shard history is evicted as it
+    /// becomes durable, bounding resident memory.
     ///
-    /// The store's reader thread reads and decodes segments ahead while
-    /// this thread replays them in order. The replay evicts as it goes:
-    /// each segment's observations are partitioned by shard and fed
-    /// through [`LocationTracker::push_and_evict_before`] with the
-    /// segment's newest time as the cutoff, so an observation older
-    /// than that moves its object's estimate and emits its transition
-    /// but never enters history, and restart never holds more than
-    /// about one segment of history. Those cutoffs rise with the segments and end
-    /// at the store's newest time, so the shards end exactly as a full
-    /// replay followed by one eviction at that time would leave them.
+    /// The log is read once, by the store's recovery, which also lists
+    /// each object's newest stored observation and each segment's zones
+    /// and observation count. The shards are seeded from
+    /// [`ZoneHistoryStore::visit_latest`] through
+    /// [`LocationTracker::push_and_evict_before`] with the store's
+    /// newest time as the cutoff. In a time-ordered log each object's
+    /// last observation is its estimate, and only the observations at
+    /// the newest time stay in history, so the shards end exactly as a
+    /// replay of every stored observation followed by one eviction at
+    /// that time would leave them. Only the trailing segments holding
+    /// observations at that time are read back; a segment damaged after
+    /// the store opened is reported by the first query or replay that
+    /// reads it. The seeding emits no transitions: `counters`
+    /// `transitions` counts this run's, and [`SharedIngest::into_report`]
+    /// takes every stored transition from its replay of the store.
     ///
     /// # Errors
     ///
-    /// Propagates [`StoreError`] if the recovered log cannot be read
-    /// back, and returns [`StoreError::UnknownZone`] for the first
-    /// stored observation whose zone is not one of `site`'s: segment
-    /// bytes are hostile input, and every query answer names its zone.
-    /// The replay stops at the first of these, reading no further.
+    /// [`StoreError::UnknownZone`] for the first stored observation, in
+    /// append order, whose zone is not one of `site`'s: segment bytes
+    /// are hostile input, and every query answer names its zone. This
+    /// is checked first, from the per-segment highest zones, reading
+    /// back only the first segment that holds such a zone. Then
+    /// propagates [`StoreError`] if a trailing segment cannot be read
+    /// back.
     pub fn with_store(
         site: &'a Site,
         registry: &'a ObjectRegistry,
@@ -210,60 +225,31 @@ impl<'a> SharedIngest<'a> {
         shards: usize,
         store: ZoneHistoryStore,
     ) -> Result<Self, StoreError> {
+        store.check_zones(site.zone_count())?;
         let high_s = store.high_s();
         let mut ingest = Self::new(site, registry, adapters, staleness_s, shards);
         ingest.durable = true;
-        // Nothing else can reach the plane yet, so the shards are
-        // borrowed directly rather than locked.
-        let mut shards: Vec<&mut ShardState<'a>> = ingest
-            .shards
-            .iter_mut()
-            .map(|slot| slot.state.get_mut().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let lanes = shards.len();
-        let zones = site.zone_count();
-        let mut recovered = 0u64;
-        // Each segment's observations, partitioned by shard and tagged
-        // with their release sequence numbers.
-        let mut batches: Vec<Vec<(u64, ZoneObservation)>> = vec![Vec::new(); lanes];
-        // Segments are visited from 0, each once.
-        let mut segment = 0u32;
-        store.visit_segments(|records| {
-            let index = segment;
-            segment += 1;
-            for record in records {
-                let Record::Observation(observation) = record else {
-                    continue;
-                };
-                if observation.zone >= zones {
-                    return Err(StoreError::UnknownZone {
-                        index,
-                        zone: observation.zone,
-                    });
-                }
-                batches[shard_of(observation.object.index() as u64, lanes)]
-                    .push((recovered, *observation));
-                recovered += 1;
-            }
-            // Replayed history is already durable, and the live
-            // estimates survive eviction. Records are time-ordered, so
-            // the last one carries the segment's newest time.
-            if let Some(newest) = records.last() {
-                for (shard, batch) in shards.iter_mut().zip(&mut batches) {
-                    shard.tracker.push_and_evict_before(
-                        batch.drain(..),
-                        newest.time_s(),
-                        &mut shard.transitions,
-                    );
-                }
-            }
-            Ok(())
+        let lanes = ingest.shards.len();
+        let mut batches: Vec<Vec<((), ZoneObservation)>> = vec![Vec::new(); lanes];
+        store.visit_latest(|observation| {
+            batches[shard_of(observation.object.index() as u64, lanes)].push(((), observation));
         })?;
+        if let Some(high_s) = high_s {
+            // Nothing else can reach the plane yet, so the shards are
+            // borrowed directly rather than locked.
+            for (slot, batch) in ingest.shards.iter_mut().zip(batches) {
+                let shard = slot.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+                shard
+                    .tracker
+                    .push_and_evict_before(batch, high_s, &mut Vec::new());
+            }
+        }
         {
             let state = ingest
                 .state
                 .get_mut()
                 .unwrap_or_else(PoisonError::into_inner);
+            let recovered = store.observation_count();
             state.counters.store_recovered = recovered;
             state.next_seq = recovered;
             if let Some(high) = high_s {
@@ -410,6 +396,7 @@ impl<'a> SharedIngest<'a> {
             observe,
             tracker,
             transitions,
+            emitted,
             ..
         } = &mut *state;
         let observed = batch.events.into_iter().flat_map(|(seq, event)| {
@@ -422,7 +409,12 @@ impl<'a> SharedIngest<'a> {
         // high-water is already durable, so it never enters the live
         // index and resident memory stays bounded by the in-flight
         // window.
+        let before = transitions.len();
         tracker.push_and_evict_before(observed, batch.evict_before, transitions);
+        *emitted += (transitions.len() - before) as u64;
+        if self.durable {
+            transitions.clear();
+        }
         state.applied_tickets += 1;
         slot.applied.notify_all();
     }
@@ -555,7 +547,8 @@ impl<'a> SharedIngest<'a> {
     }
 
     /// Aggregate counter snapshot. The `transitions` tally is summed
-    /// live from the shard states.
+    /// live from the shard states: the transitions of this run, as
+    /// `events_ingested` counts this run's reads.
     #[must_use]
     pub fn counters(&self) -> IngestCounters {
         let mut counters = self.lock().counters;
@@ -564,7 +557,7 @@ impl<'a> SharedIngest<'a> {
             .iter()
             .map(|slot| {
                 let state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.transitions.len() as u64
+                state.emitted
             })
             .sum();
         counters
@@ -803,14 +796,18 @@ impl<'a> SharedIngest<'a> {
     /// Consumes the plane into its final report. In memory mode the
     /// shard trackers hold disjoint objects, each fed its canonical
     /// subsequence, so their union ([`LocationTracker::absorb`]) is
-    /// bit-exact to a batch replay. In durable mode the shards have
-    /// evicted their history and the store *is* the canonical log, so
-    /// the tracker is rebuilt by replaying it with `push`, which keeps
-    /// every observation, through the same segment reader restart
-    /// replays through — which is what makes "replay equals live run"
-    /// a structural guarantee. Transitions merge back into canonical
-    /// order by release sequence. Call after [`SharedIngest::finish`]
-    /// once every session has detached.
+    /// bit-exact to a batch replay, and the shards' transitions merge
+    /// back into canonical order by release sequence. In durable mode
+    /// the shards have evicted their history and kept only a count of
+    /// their transitions, and the store *is* the canonical log: the
+    /// tracker and every transition, this run's and the stored runs'
+    /// before it, come from one replay of the store through
+    /// [`LocationTracker::push_and_evict_before`] with an infinite
+    /// cutoff, which keeps every observation as `push` does — which is
+    /// what makes "replay equals live run" a structural guarantee. In
+    /// either mode `counters.transitions` counts this run's transitions.
+    /// Call after [`SharedIngest::finish`] once every session has
+    /// detached.
     #[must_use]
     pub fn into_report(self) -> ServerReport {
         let mut state = self
@@ -835,18 +832,18 @@ impl<'a> SharedIngest<'a> {
                 tracker.absorb(shard.tracker);
             }
             transitions.extend(shard.transitions);
+            counters.transitions += shard.emitted;
             shard_counters.push(shard.counters);
         }
         // Release sequence numbers are unique, so the sort is total:
         // this *is* the k-way merge back into canonical stream order.
         transitions.sort_by_key(|&(seq, _)| seq);
-        counters.transitions = transitions.len() as u64;
         if let Some(store) = state.store.as_ref() {
-            // `push` drops non-finite times and out-of-range zones
-            // instead of erroring; stored times were validated at append
-            // and stored zones by `with_store`, so nothing is dropped.
+            // Stored times were validated at append and stored zones by
+            // `with_store`, so the replay drops nothing; the store's
+            // order is the canonical release order.
             let replayed = store.visit_observations(|observation| {
-                let _ = tracker.push(observation);
+                tracker.push_and_evict_before([(0, observation)], f64::INFINITY, &mut transitions);
             });
             if let Err(err) = replayed {
                 counters.store_errors += 1;
@@ -1248,7 +1245,7 @@ mod tests {
         .collect()
     }
 
-    /// Evicting after every segment of the replay leaves the plane
+    /// A restart over a store of several segments leaves the plane
     /// exactly as one replay followed by one eviction at the store's
     /// newest time: the same shard trackers (holding only the newest
     /// observations), answers, counters and report as a one-segment
@@ -1331,6 +1328,192 @@ mod tests {
             assert_eq!(counters, whole_counters, "shards = {shards}");
             assert_eq!(report, whole_report, "shards = {shards}");
             assert_eq!(report.counters.store_recovered, 11);
+        }
+    }
+
+    fn observation(object: ObjectHandle, zone: usize, time_s: f64) -> Record {
+        Record::Observation(ZoneObservation {
+            object,
+            zone,
+            time_s,
+            inferred: false,
+        })
+    }
+
+    fn stored_read(epc: Epc96, time_s: f64) -> Record {
+        Record::Read(ReadEvent {
+            time_s,
+            reader: 0,
+            antenna: 0,
+            tag: 0,
+            epc,
+        })
+    }
+
+    /// The shard trackers a replay of every stored observation followed
+    /// by one eviction at `high_s` leaves.
+    fn push_all_then_evict(records: &[Record], high_s: f64, shards: usize) -> Vec<LocationTracker> {
+        let mut trackers: Vec<LocationTracker> =
+            (0..shards).map(|_| LocationTracker::new(100.0)).collect();
+        for record in records {
+            if let Record::Observation(observation) = record {
+                let _ = trackers[shard_of(observation.object.index() as u64, shards)]
+                    .push(*observation);
+            }
+        }
+        for tracker in &mut trackers {
+            tracker.evict_history_before(high_s);
+        }
+        trackers
+    }
+
+    fn shard_trackers(ingest: &SharedIngest<'_>) -> Vec<LocationTracker> {
+        ingest
+            .shards
+            .iter()
+            .map(|slot| slot.state.lock().expect("shard lock").tracker.clone())
+            .collect()
+    }
+
+    /// The restart reads back only the trailing segments holding
+    /// observations at the store's newest time: with every other closed
+    /// segment deleted after `open` — one of them ending in a read at
+    /// that time — it seeds the same trackers, answers and recovered
+    /// count as a restart on an intact copy.
+    #[test]
+    fn with_store_reads_only_the_segments_at_the_newest_time() {
+        let (site, registry, epcs) = world();
+        let adapters = vec![WireEventAdapter::new(0, epcs.iter().copied())];
+        let (a, b) = (
+            registry.object_of(epcs[0]).expect("case 0"),
+            registry.object_of(epcs[1]).expect("case 1"),
+        );
+        // Three records a segment: [a@1 b@1 a@2] [b@2 read@3 read@3]
+        // [a@3 b@3 read@3], then a@3 in the open tail.
+        let records = [
+            observation(a, 0, 1.0),
+            observation(b, 1, 1.0),
+            observation(a, 1, 2.0),
+            observation(b, 0, 2.0),
+            stored_read(epcs[0], 3.0),
+            stored_read(epcs[1], 3.0),
+            observation(a, 0, 3.0),
+            observation(b, 1, 3.0),
+            stored_read(epcs[0], 3.0),
+            observation(a, 1, 3.0),
+        ];
+        let config = StoreConfig {
+            records_per_segment: 3,
+        };
+        let restart = |name: &str, delete: &[&str]| {
+            let dir = temp_dir(name);
+            let mut store = ZoneHistoryStore::open(&dir, config).expect("open");
+            for record in &records {
+                store.append(record).expect("append");
+            }
+            store.flush().expect("flush");
+            drop(store);
+            let store = ZoneHistoryStore::open(&dir, config).expect("reopen");
+            for file in delete {
+                std::fs::remove_file(dir.join(file)).expect("delete segment");
+            }
+            let ingest = SharedIngest::with_store(&site, &registry, &adapters, 100.0, 2, store)
+                .expect("restart");
+            let answers: Vec<_> = epcs
+                .iter()
+                .map(|epc| ingest.location_of(&epc.to_string()))
+                .collect();
+            let seen = (
+                shard_trackers(&ingest),
+                answers,
+                ingest.counters().store_recovered,
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            seen
+        };
+        let intact = restart("newest-intact", &[]);
+        let trailing = restart("newest-trailing", &["seg-00000000.rzh", "seg-00000001.rzh"]);
+        assert_eq!(trailing, intact);
+        assert_eq!(trailing.0, push_all_then_evict(&records, 3.0, 2));
+        assert_eq!(
+            trailing.1,
+            [
+                Ok(Some((1, "aisle".to_owned()))),
+                Ok(Some((1, "aisle".to_owned())))
+            ]
+        );
+        assert_eq!(trailing.2, 7);
+    }
+
+    proptest::proptest! {
+        /// Over arbitrary stores — one to five records a segment, ties
+        /// at the newest time across closed segments and the tail, reads
+        /// and transitions among the observations, an object last seen
+        /// first, and tails left empty — the restart seeds each shard as
+        /// a replay of every observation followed by one eviction at the
+        /// newest time leaves it, and the report is a fresh reopen's
+        /// replay, tracker and transitions, at K = 1, 2 and 3.
+        #[test]
+        fn seeding_from_the_newest_observations_equals_replay_then_evict(
+            records_per_segment in 1usize..6,
+            steps in proptest::collection::vec((0u8..5, 0usize..3, 0usize..2, 0u8..3), 1..40),
+        ) {
+            let site = world().0;
+            let mut registry = ObjectRegistry::new();
+            let objects: Vec<ObjectHandle> = (0..4)
+                .map(|index| registry.register(format!("case-{index}")))
+                .collect();
+            let adapters: Vec<WireEventAdapter> = Vec::new();
+            // Object 3 is seen once, first. Two steps in three keep the
+            // time of the record before.
+            let mut records = vec![observation(objects[3], 1, 0.0)];
+            let mut time_s = 0.0;
+            for (kind, object, zone, step) in steps {
+                time_s += if step == 0 { 0.5 } else { 0.0 };
+                let object = objects[object];
+                records.push(match kind {
+                    0 => stored_read(Epc96::from_u128(1), time_s),
+                    1 => Record::Transition(ZoneTransition {
+                        object,
+                        from: None,
+                        to: zone,
+                        time_s,
+                    }),
+                    _ => observation(object, zone, time_s),
+                });
+            }
+            let config = StoreConfig { records_per_segment };
+            let dir = temp_dir(&format!("seeding-{records_per_segment}-{}", records.len()));
+            let mut store = ZoneHistoryStore::open(&dir, config).expect("open");
+            for record in &records {
+                store.append(record).expect("append");
+            }
+            store.flush().expect("flush");
+            drop(store);
+            let mut replayed = LocationTracker::new(100.0);
+            let mut transitions = Vec::new();
+            let reopened = ZoneHistoryStore::open(&dir, config).expect("reopen");
+            reopened
+                .visit_observations(|observation| transitions.extend(replayed.push(observation)))
+                .expect("replay");
+            drop(reopened);
+            for shards in 1..=3 {
+                let store = ZoneHistoryStore::open(&dir, config).expect("reopen");
+                let ingest =
+                    SharedIngest::with_store(&site, &registry, &adapters, 100.0, shards, store)
+                        .expect("restart");
+                proptest::prop_assert_eq!(
+                    shard_trackers(&ingest),
+                    push_all_then_evict(&records, time_s, shards),
+                    "shards = {}", shards
+                );
+                proptest::prop_assert_eq!(ingest.counters().transitions, 0);
+                ingest.finish();
+                let report = ingest.into_report();
+                proptest::prop_assert_eq!(&report.tracker, &replayed);
+                proptest::prop_assert_eq!(&report.transitions, &transitions);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

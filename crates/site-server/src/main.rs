@@ -58,9 +58,9 @@ fn usage() -> String {
         "                        (default 0 = machine parallelism; any K",
         "                        produces the same state, bit for bit)",
         "  --store-dir PATH      durable zone-history store directory;",
-        "                        prior contents are recovered and replayed",
-        "                        into the tracker before serving (daemon",
-        "                        mode only; default: in-memory)",
+        "                        prior contents are recovered and the",
+        "                        tracker resumes from them before serving",
+        "                        (daemon mode only; default: in-memory)",
     ]
     .join("\n")
 }

@@ -42,7 +42,7 @@ pub struct ServerConfig {
     /// Directory for the durable zone-history store. `None` keeps the
     /// run in-memory; `Some` opens (or recovers) a
     /// [`rfid_track::ZoneHistoryStore`] there, appends every released
-    /// observation, and replays any prior contents into the tracker
+    /// observation, and resumes the tracker from any prior contents
     /// before accepting connections.
     pub store_dir: Option<std::path::PathBuf>,
 }

@@ -10,6 +10,7 @@ use rfid_readerapi::WireEventAdapter;
 use rfid_sim::ReadEvent;
 use rfid_site_server::{run_portal, QueryClient, RpcError, ServerConfig, SiteServer};
 use rfid_track::store::Record;
+use rfid_track::stream::Operator;
 use rfid_track::{
     LocationTracker, ObjectRegistry, Site, StoreConfig, ZoneHistoryStore, ZoneObservation,
 };
@@ -183,7 +184,7 @@ fn a_restarted_daemon_recovers_the_store_and_continues_the_history() {
     durable_run(&world, &dir, &first, |_| {});
 
     // Run 2, same directory: the case returns to the dock at t=4,5.
-    // `with_store` must replay the four stored observations before
+    // `with_store` must recover the four stored observations before
     // accepting connections, and the history must answer across the
     // restart boundary.
     let second = vec![
@@ -197,9 +198,19 @@ fn a_restarted_daemon_recovers_the_store_and_continues_the_history() {
             Some((1, "aisle".to_owned())),
             "history from the previous run answers after the restart"
         );
+        // The counter holds this run's transitions only: the return to
+        // the dock once t=4 is released, none of run 1's.
+        let released = client.counter("events_released").expect("counters rpc");
+        let transitions = client.counter("transitions").expect("counters rpc");
+        assert_eq!(
+            transitions,
+            u64::from(released > 0),
+            "released = {released}"
+        );
     });
 
     assert_eq!(report.counters.store_recovered, 4, "run 1's observations");
+    assert_eq!(report.counters.transitions, 1, "run 2's return to the dock");
     assert_eq!(report.counters.store_appends, 2, "run 2's observations");
     assert_eq!(report.counters.store_errors, 0);
 
@@ -212,6 +223,13 @@ fn a_restarted_daemon_recovers_the_store_and_continues_the_history() {
     assert_eq!(
         report.tracker, batch,
         "restart + continuation equals one uninterrupted run"
+    );
+    let batch_transitions =
+        LocationTracker::new(3600.0).run_batch(world.site.observations(&world.registry, &reads));
+    assert_eq!(batch_transitions.len(), 3, "dock, aisle, dock again");
+    assert_eq!(
+        report.transitions, batch_transitions,
+        "the report carries both runs' transitions"
     );
 
     // And the store now holds the full six-observation history.

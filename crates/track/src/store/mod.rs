@@ -10,22 +10,28 @@
 //! `O(log n)` probes plus at most two bounded segment reads. Each
 //! object's span is one flat list of the closed segments holding it,
 //! 4 bytes each, sorted by construction because segments close in
-//! order, so indexing a segment pushes. Each closed segment keeps the
-//! time key ([`index::time_key`]) of its first record; appends are
-//! time-ordered, so those keys rise with the segments and a query is
-//! one `partition_point` over them. Replay streams the log one segment
-//! at a time ([`ZoneHistoryStore::visit_segments`]); every segment it
-//! reads is checked again, CRC and decode, exactly as recovery checked
-//! it.
+//! order, so indexing a segment pushes; beside it the span keeps the
+//! object's newest observation in those segments. Each closed segment
+//! keeps the time key ([`index::time_key`]) of its first record;
+//! appends are time-ordered, so those keys rise with the segments and a
+//! query is one `partition_point` over them. It also keeps its
+//! observation count, its highest zone and the time key of its newest
+//! observation, so a restart learns each object's estimate, the store's
+//! zones and which segments hold the newest time without reading the
+//! log again ([`ZoneHistoryStore::visit_latest`]). Replay streams the
+//! log one segment at a time ([`ZoneHistoryStore::visit_segments`]);
+//! every segment it reads is checked again, CRC and decode, exactly as
+//! recovery checked it.
 //!
 //! Recovery and replay read ahead: one private reader runs a thread that
 //! reads, CRC-checks and decodes the segments in index order, at most
 //! two segments ahead of the calling thread, which takes them in that
-//! order. Everything that depends on earlier segments — the base
-//! sequence against the running count, time order across segments,
-//! which segment is final, the span index — happens on the calling
-//! thread, so the first fault in index order is the error, as when one
-//! thread read them all.
+//! order. In recovery the thread also finds each object's last
+//! observation in the segment. Everything that depends on earlier
+//! segments — the base sequence against the running count, time order
+//! across segments, which segment is final, the span index — happens on
+//! the calling thread, so the first fault in index order is the error,
+//! as when one thread read them all.
 //!
 //! # On-disk format
 //!
@@ -68,6 +74,7 @@ pub use index::{time_key, ZoneHistoryIndex};
 
 use crate::constraints::ZoneObservation;
 use crate::registry::ObjectHandle;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -203,7 +210,8 @@ fn io_error(path: &Path, err: &std::io::Error) -> StoreError {
     }
 }
 
-/// A fully-written, immutable segment.
+/// A fully-written, immutable segment. Its file is named by its index
+/// ([`segment_file_name`]), so the path is built only to read it.
 #[derive(Debug)]
 struct ClosedSegment {
     base_seq: u64,
@@ -212,18 +220,27 @@ struct ClosedSegment {
     /// later segment is older. An empty segment holds no object, so no
     /// span lists it and its key (`u64::MAX`) is never read.
     first_key: u64,
-    path: PathBuf,
+    /// Observation records in the segment.
+    observations: u64,
+    /// The highest zone an observation of the segment names; `0`
+    /// without observations.
+    max_zone: usize,
+    /// The time key of the segment's newest observation; `0`, below
+    /// every finite time's key, without observations.
+    newest_key: u64,
 }
 
 impl ClosedSegment {
-    fn new(base_seq: u64, records: &[Record], path: PathBuf) -> Self {
+    fn new(base_seq: u64, records: &[Record], observed: &Observed) -> Self {
         Self {
             base_seq,
             records: records.len() as u64,
             first_key: records
                 .first()
                 .map_or(u64::MAX, |record| time_key(record.time_s())),
-            path,
+            observations: observed.count,
+            max_zone: observed.max_zone,
+            newest_key: observed.newest_key,
         }
     }
 
@@ -257,6 +274,69 @@ type SegmentId = u32;
 
 const _: () = assert!(std::mem::size_of::<SegmentId>() == 4);
 
+/// One object's place in the closed segments.
+#[derive(Debug)]
+struct Span {
+    /// Every closed segment holding the object, ascending.
+    segments: Vec<SegmentId>,
+    /// The object's newest observation in them.
+    newest: ZoneObservation,
+}
+
+/// What the span index takes from one segment's observations.
+struct Observed {
+    /// Each object's last observation in the segment, one per object,
+    /// in the order the objects first appear.
+    last: Vec<ZoneObservation>,
+    count: u64,
+    max_zone: usize,
+    newest_key: u64,
+}
+
+impl Observed {
+    /// Summarizes `records` with an open-addressing table in `slots`,
+    /// reused across calls. The table is sized by the record count,
+    /// never by an object id, which a segment's bytes choose: a slot
+    /// holds `0` when empty, else one plus the position in `last` of
+    /// the object hashed there.
+    fn of(records: &[Record], slots: &mut Vec<usize>) -> Self {
+        let mask = (2 * records.len()).next_power_of_two() - 1;
+        slots.clear();
+        slots.resize(mask + 1, 0);
+        let mut observed = Self {
+            last: Vec::new(),
+            count: 0,
+            max_zone: 0,
+            newest_key: 0,
+        };
+        for record in records {
+            let Record::Observation(observation) = record else {
+                continue;
+            };
+            observed.count += 1;
+            observed.max_zone = observed.max_zone.max(observation.zone);
+            observed.newest_key = time_key(observation.time_s);
+            let object = observation.object.index();
+            let mut slot = rfid_sim::mix64(object as u64) as usize & mask;
+            loop {
+                match slots[slot] {
+                    0 => {
+                        observed.last.push(*observation);
+                        slots[slot] = observed.last.len();
+                        break;
+                    }
+                    held if observed.last[held - 1].object.index() == object => {
+                        observed.last[held - 1] = *observation;
+                        break;
+                    }
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+        }
+        observed
+    }
+}
+
 /// The segment currently accepting appends. Its records stay in memory
 /// (bounded by [`StoreConfig::records_per_segment`]) so queries over
 /// the tail never touch the disk.
@@ -277,15 +357,18 @@ pub struct ZoneHistoryStore {
     dir: PathBuf,
     config: StoreConfig,
     closed: Vec<ClosedSegment>,
-    /// Per object: every *closed* segment containing it, ascending.
-    /// Segments close in order and their first keys rise with them, so
-    /// a `partition_point` over the listed segments' first keys lands
-    /// on the newest one that starts at or before `t`.
-    spans: BTreeMap<usize, Vec<SegmentId>>,
+    /// Per object: every *closed* segment containing it, ascending, and
+    /// its newest observation in them. Segments close in order and
+    /// their first keys rise with them, so a `partition_point` over the
+    /// listed segments' first keys lands on the newest one that starts
+    /// at or before `t`.
+    spans: BTreeMap<usize, Span>,
     open: Option<OpenSegment>,
     next_seq: u64,
     high_s: Option<f64>,
     recovery: RecoveryReport,
+    /// The frame [`ZoneHistoryStore::append`] encodes into, reused.
+    frame: Vec<u8>,
 }
 
 /// One segment as the reader thread parses it: everything that depends
@@ -477,21 +560,6 @@ fn record_fault(records: &[Record], segment_index: u32) -> Option<(usize, StoreE
     None
 }
 
-/// Every object `records` observe, ascending, each once: the spans a
-/// closed segment is listed in.
-fn observed_objects(records: &[Record]) -> Vec<usize> {
-    let mut objects: Vec<usize> = records
-        .iter()
-        .filter_map(|record| match record {
-            Record::Observation(observation) => Some(observation.object.index()),
-            _ => None,
-        })
-        .collect();
-    objects.sort_unstable();
-    objects.dedup();
-    objects
-}
-
 /// Reads segments `0..count` on one scoped reader thread and hands each,
 /// as `read` returns it, to `consume` on the calling thread, strictly in
 /// index order, so reading and decoding overlap with `consume`.
@@ -587,6 +655,7 @@ impl ZoneHistoryStore {
             next_seq: 0,
             high_s: None,
             recovery: RecoveryReport::default(),
+            frame: Vec::new(),
         };
         // Only the segments below the first gap are read, and the gap is
         // reported once every one of them has recovered cleanly.
@@ -598,17 +667,18 @@ impl ZoneHistoryStore {
         let contiguous = u32::try_from(contiguous)
             .map_err(|_| StoreError::MissingSegment { index: u32::MAX })?;
         let last = indices.last().copied();
+        let mut slots = Vec::new();
         read_in_order(
             &dir,
             contiguous,
             |index| {
                 let path = dir.join(segment_file_name(index));
                 let parsed = read_segment(&path, index, Some(index) == last)?;
-                let objects = observed_objects(&parsed.records);
-                Ok((parsed, objects))
+                let observed = Observed::of(&parsed.records, &mut slots);
+                Ok((parsed, observed))
             },
-            |index, (parsed, objects)| {
-                store.recover_segment(index, Some(index) == last, parsed, &objects)
+            |index, (parsed, observed)| {
+                store.recover_segment(index, Some(index) == last, parsed, observed)
             },
         )?;
         if indices.len() > contiguous as usize {
@@ -619,14 +689,14 @@ impl ZoneHistoryStore {
     }
 
     /// Validates and registers one existing segment, read and parsed by
-    /// the reader thread of [`read_in_order`]; `objects` are the objects
-    /// it observes ([`observed_objects`]).
+    /// the reader thread of [`read_in_order`], which also summarized
+    /// its observations ([`Observed::of`]).
     fn recover_segment(
         &mut self,
         index: u32,
         is_last: bool,
         parsed: ParsedSegment,
-        objects: &[usize],
+        observed: Observed,
     ) -> Result<(), StoreError> {
         parsed.check_in_order(index, self.next_seq, self.high_s)?;
         if let Some(newest) = parsed.records.last() {
@@ -637,7 +707,7 @@ impl ZoneHistoryStore {
         let base_seq = self.next_seq;
         self.next_seq = base_seq + parsed.records.len() as u64;
 
-        let path = self.dir.join(segment_file_name(index));
+        let path = self.segment_path(index);
         let reopen_as_tail = is_last && parsed.records.len() < self.config.records_per_segment;
         if reopen_as_tail {
             if parsed.torn_bytes > 0 {
@@ -674,20 +744,39 @@ impl ZoneHistoryStore {
                 file.set_len(parsed.clean_len)
                     .map_err(|e| io_error(&path, &e))?;
             }
-            self.index_closed_segment(index, objects);
-            self.closed
-                .push(ClosedSegment::new(base_seq, &parsed.records, path));
+            self.close_segment(index, base_seq, &parsed.records, &observed);
         }
         Ok(())
     }
 
-    /// Lists a freshly closed segment in the span of each object it
-    /// observes: one push per object of `objects`, which are ascending
-    /// and each once ([`observed_objects`]).
-    fn index_closed_segment(&mut self, index: SegmentId, objects: &[usize]) {
-        for &object in objects {
-            self.spans.entry(object).or_default().push(index);
+    /// Registers a freshly closed segment: lists it in the span of each
+    /// object it observes, whose newest observation is then the
+    /// segment's last one of it — one map probe per object of
+    /// `observed` — and keeps its summary.
+    fn close_segment(
+        &mut self,
+        index: SegmentId,
+        base_seq: u64,
+        records: &[Record],
+        observed: &Observed,
+    ) {
+        for &newest in &observed.last {
+            match self.spans.entry(newest.object.index()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Span {
+                        segments: vec![index],
+                        newest,
+                    });
+                }
+                Entry::Occupied(slot) => {
+                    let span = slot.into_mut();
+                    span.segments.push(index);
+                    span.newest = newest;
+                }
+            }
         }
+        self.closed
+            .push(ClosedSegment::new(base_seq, records, observed));
     }
 
     /// Appends one record, returning its global sequence number.
@@ -725,16 +814,18 @@ impl ZoneHistoryStore {
             });
         };
 
-        let mut payload = Vec::new();
-        encode_record(record, &mut payload);
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let path = open.path.clone();
+        // The payload is encoded behind room for the frame header, which
+        // is filled in once its length and CRC are known.
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.resize(FRAME_OVERHEAD, 0);
+        encode_record(record, frame);
+        let (header, payload) = frame.split_at_mut(FRAME_OVERHEAD);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         open.writer
-            .write_all(&frame)
-            .map_err(|e| io_error(&path, &e))?;
+            .write_all(frame)
+            .map_err(|e| io_error(&open.path, &e))?;
         open.records.push(*record);
 
         let seq = self.next_seq;
@@ -757,7 +848,7 @@ impl ZoneHistoryStore {
             path: self.dir.clone(),
             detail: "segment index exceeds u32".to_owned(),
         })?;
-        let path = self.dir.join(segment_file_name(index));
+        let path = self.segment_path(index);
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(true)
@@ -781,9 +872,8 @@ impl ZoneHistoryStore {
             return Ok(());
         };
         open.writer.flush().map_err(|e| io_error(&open.path, &e))?;
-        self.index_closed_segment(open.index, &observed_objects(&open.records));
-        self.closed
-            .push(ClosedSegment::new(open.base_seq, &open.records, open.path));
+        let observed = Observed::of(&open.records, &mut Vec::new());
+        self.close_segment(open.index, open.base_seq, &open.records, &observed);
         Ok(())
     }
 
@@ -837,11 +927,138 @@ impl ZoneHistoryStore {
             .ok_or(StoreError::MissingSegment { index })
     }
 
+    fn segment_path(&self, index: u32) -> PathBuf {
+        self.dir.join(segment_file_name(index))
+    }
+
     /// Reads one closed segment strictly (any deviation from what
     /// recovery validated is corruption).
     fn read_closed(&self, index: u32) -> Result<Vec<Record>, StoreError> {
         let segment = self.closed_segment(index)?;
-        segment.check(index, read_segment(&segment.path, index, false)?, None)
+        segment.check(
+            index,
+            read_segment(&self.segment_path(index), index, false)?,
+            None,
+        )
+    }
+
+    /// Observations stored, recovered plus appended.
+    #[must_use]
+    pub fn observation_count(&self) -> u64 {
+        let closed: u64 = self.closed.iter().map(|segment| segment.observations).sum();
+        let open = self.open.as_ref().map_or(0, |open| {
+            open.records
+                .iter()
+                .filter(|record| matches!(record, Record::Observation(_)))
+                .count()
+        });
+        closed + open as u64
+    }
+
+    /// Refuses the store if an observation names a zone at or above
+    /// `zones`, the count of the replaying site's zones. Only the first
+    /// closed segment whose highest zone reaches `zones` is read back,
+    /// to name the first such zone in it; the open tail is checked in
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownZone`] for the first such observation in
+    /// append order; [`StoreError::Io`] / [`StoreError::CorruptSegment`]
+    /// if the segment holding it can no longer be read back.
+    pub fn check_zones(&self, zones: usize) -> Result<(), StoreError> {
+        let unknown = |index: u32, records: &[Record]| {
+            records.iter().find_map(|record| match record {
+                Record::Observation(observation) if observation.zone >= zones => {
+                    Some(StoreError::UnknownZone {
+                        index,
+                        zone: observation.zone,
+                    })
+                }
+                _ => None,
+            })
+        };
+        let first = self
+            .closed
+            .iter()
+            .position(|segment| segment.observations > 0 && segment.max_zone >= zones);
+        if let Some(index) = first {
+            let index = index as u32;
+            return Err(unknown(index, &self.read_closed(index)?).unwrap_or(
+                StoreError::CorruptSegment {
+                    index,
+                    detail: "the zones read back differ from the zones recovered".to_owned(),
+                },
+            ));
+        }
+        match &self.open {
+            Some(open) => unknown(open.index, &open.records).map_or(Ok(()), Err),
+            None => Ok(()),
+        }
+    }
+
+    /// Visits a short observation stream that leaves a
+    /// [`LocationTracker`](crate::LocationTracker) fed it, then evicted
+    /// before [`ZoneHistoryStore::high_s`], exactly as the whole stream
+    /// ([`ZoneHistoryStore::visit_observations`]) would leave it:
+    ///
+    /// 1. each object's newest observation in the closed segments, when
+    ///    it is older than the newest time, in object order;
+    /// 2. every closed-segment observation at the newest time, in
+    ///    append order;
+    /// 3. every observation of the open tail, in append order.
+    ///
+    /// The log is time-ordered, so an object's last observation is its
+    /// estimate, and an eviction before the newest time keeps only the
+    /// observations at that time. Part 1 gives the estimate to each
+    /// object whose closed-segment observations are all older; part 2
+    /// feeds the closed segments' observations at the newest time in
+    /// order; part 3 comes last because every tail observation is at or
+    /// after every closed one. Only the trailing closed segments whose
+    /// newest observation is at the newest time are read back, checked
+    /// as [`ZoneHistoryStore::visit_segments`] checks them.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] / [`StoreError::CorruptSegment`] if one of
+    /// those segments can no longer be read back.
+    pub fn visit_latest(&self, mut visit: impl FnMut(ZoneObservation)) -> Result<(), StoreError> {
+        let Some(high_s) = self.high_s else {
+            return Ok(());
+        };
+        let high_key = time_key(high_s);
+        for span in self.spans.values() {
+            if span.newest.time_s < high_s {
+                visit(span.newest);
+            }
+        }
+        // Every segment before the last one that starts before the
+        // newest time ends before it.
+        let trailing = self
+            .closed
+            .iter()
+            .rposition(|segment| segment.first_key < high_key)
+            .unwrap_or(0);
+        for (index, segment) in self.closed.iter().enumerate().skip(trailing) {
+            if segment.observations > 0 && segment.newest_key == high_key {
+                for record in self.read_closed(index as u32)? {
+                    match record {
+                        Record::Observation(observation) if observation.time_s == high_s => {
+                            visit(observation);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        if let Some(open) = &self.open {
+            for record in &open.records {
+                if let Record::Observation(observation) = record {
+                    visit(*observation);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The most recent observed `(zone, time_s)` for `object` at or
@@ -875,7 +1092,7 @@ impl ZoneHistoryStore {
                 return Ok(hit);
             }
         }
-        let Some(span) = self.spans.get(&object.index()) else {
+        let Some(span) = self.spans.get(&object.index()).map(|span| &span.segments) else {
             return Ok(None);
         };
         let starts_by_bound = span.partition_point(|&segment| {
@@ -902,7 +1119,7 @@ impl ZoneHistoryStore {
     pub fn history_of(&self, object: ObjectHandle) -> Result<Vec<ZoneObservation>, StoreError> {
         let mut out = Vec::new();
         if let Some(span) = self.spans.get(&object.index()) {
-            for &segment in span {
+            for &segment in &span.segments {
                 out.extend(self.read_closed(segment)?.iter().filter_map(|r| match r {
                     Record::Observation(o) if o.object == object => Some(*o),
                     _ => None,
@@ -942,7 +1159,7 @@ impl ZoneHistoryStore {
         read_in_order(
             &self.dir,
             self.closed.len() as u32,
-            |index| read_segment(&self.closed_segment(index)?.path, index, false),
+            |index| read_segment(&self.segment_path(index), index, false),
             |index, parsed| {
                 let records = self.closed_segment(index)?.check(index, parsed, high_s)?;
                 if let Some(newest) = records.last() {
@@ -1145,8 +1362,8 @@ mod tests {
                 .expect("append");
         }
         assert_eq!(store.segment_count(), 4);
-        assert_eq!(store.spans[&0], [0, 2]);
-        assert_eq!(store.spans[&1], [1, 2]);
+        assert_eq!(store.spans[&0].segments, [0, 2]);
+        assert_eq!(store.spans[&1].segments, [1, 2]);
         assert_eq!(store.location_at(case, 6.0).expect("q"), Some((1, 2.0)));
         assert_eq!(store.location_at(case, 7.0).expect("q"), Some((3, 7.0)));
         assert_eq!(store.location_at(case, 9.0).expect("q"), Some((2, 8.0)));

@@ -57,6 +57,13 @@ grep -q "matches batch replay" "$site_out"
 grep -q "graceful shutdown complete" "$site_out"
 rm -f "$site_out"
 
+# Reproduce the paper: `repro all` regenerates every table and figure
+# at the paper's trial counts and exits non-zero if any of its 15
+# shape checks is violated, so a change to the simulation that bends a
+# published result fails the gate (about 7 s in release). `timeout`
+# guards against a runaway experiment.
+timeout 300 cargo run --release -q -p rfid-experiments --bin repro -- all
+
 # The shard identity suite under its own budget: these proptests prove
 # the daemon's ingest plane gives the K=1 report at any shard count,
 # drain chunking and session interleaving, with sessions on threads of
