@@ -2,7 +2,7 @@
 //!
 //! The transport stack tallies a small set of process-wide counters as
 //! it runs, in the same style as `rfid_sim::counters`: cumulative
-//! relaxed atomics with a [`snapshot`]/[`reset`]/`since` discipline so
+//! relaxed atomics with a [`snapshot`]/`since` discipline so
 //! soak tests and deployments can see how hard the wire worked —
 //! how many exchanges the application asked for, how many attempts the
 //! retry layer spent getting them through, and what failure classes it
@@ -93,8 +93,7 @@ pub struct WireCounters {
 impl WireCounters {
     /// Counter deltas accumulated since an earlier snapshot.
     ///
-    /// Saturates at zero if `earlier` was taken after `self` (or after
-    /// a [`reset`]).
+    /// Saturates at zero if `earlier` was taken after `self`.
     #[must_use]
     pub const fn since(&self, earlier: &WireCounters) -> WireCounters {
         WireCounters {
@@ -149,19 +148,6 @@ pub fn snapshot() -> WireCounters {
         connections: CONNECTIONS.load(Relaxed),
         connection_errors: CONNECTION_ERRORS.load(Relaxed),
     }
-}
-
-/// Zeroes every counter (start of a measurement window).
-pub fn reset() {
-    REQUESTS.store(0, Relaxed);
-    RETRIES.store(0, Relaxed);
-    TIMEOUTS.store(0, Relaxed);
-    MALFORMED_FRAMES.store(0, Relaxed);
-    TRUNCATIONS.store(0, Relaxed);
-    DISCONNECTS.store(0, Relaxed);
-    FAULTS_INJECTED.store(0, Relaxed);
-    CONNECTIONS.store(0, Relaxed);
-    CONNECTION_ERRORS.store(0, Relaxed);
 }
 
 #[cfg(test)]

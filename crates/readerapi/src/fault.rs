@@ -173,12 +173,6 @@ impl<T: Transport> FaultTransport<T> {
     pub fn stats(&self) -> FaultStats {
         self.stats
     }
-
-    /// The plan in force.
-    #[must_use]
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
 }
 
 impl<T: Transport> Transport for FaultTransport<T> {
@@ -242,8 +236,8 @@ impl<T: Transport> Transport for FaultTransport<T> {
 mod tests {
     use super::*;
     use crate::client::InMemoryTransport;
+    use crate::protocol::Response;
     use crate::server::ReaderEmulator;
-    use crate::wire::XmlNode;
 
     fn faulty(seed: u64, plan: FaultPlan) -> FaultTransport<InMemoryTransport> {
         FaultTransport::new(
@@ -258,7 +252,7 @@ mod tests {
         let mut transport = faulty(1, FaultPlan::default());
         for _ in 0..50 {
             let reply = transport.exchange("<request><status/></request>").unwrap();
-            assert!(XmlNode::parse(&reply).is_ok());
+            assert!(Response::from_xml(&reply).is_ok());
         }
         assert_eq!(transport.stats().clean, 50);
         assert_eq!(transport.stats().total_faults(), 0);
@@ -306,7 +300,7 @@ mod tests {
         for _ in 0..100 {
             let reply = transport.exchange("<request><status/></request>").unwrap();
             assert!(
-                XmlNode::parse(&reply).is_err(),
+                Response::from_xml(&reply).is_err(),
                 "injected frame must be malformed: {reply:?}"
             );
         }

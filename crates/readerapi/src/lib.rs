@@ -63,12 +63,9 @@ mod wire;
 pub use client::{ClientError, InMemoryTransport, ReaderClient, Transport};
 pub use error::TransportError;
 pub use fault::{FaultPlan, FaultStats, FaultTransport};
-pub use net::{
-    serve, serve_connection, serve_once, serve_shared, ServeOptions, ServeSummary, TcpTransport,
-    DEFAULT_DEADLINE,
-};
+pub use net::{serve, serve_shared, ServeOptions, ServeSummary, TcpTransport, DEFAULT_DEADLINE};
 pub use protocol::{ReaderMode, Request, Response, StatusReport, TagRecord};
 pub use retry::{BackoffPolicy, RetryingTransport};
 pub use server::ReaderEmulator;
 pub use stream::{AdapterError, WireEventAdapter};
-pub use wire::{valid_name, WireError, XmlNode};
+pub use wire::WireError;

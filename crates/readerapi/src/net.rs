@@ -212,28 +212,18 @@ fn serve_stream(stream: TcpStream, mut handle: impl FnMut(&str) -> String) -> io
     }
 }
 
-/// Serves one client connection: reads newline-framed XML requests and
-/// writes XML responses until the peer disconnects.
+/// Serves one client connection against an emulator shared with other
+/// threads, locking only for the duration of each request: reads
+/// newline-framed XML requests and writes XML responses until the peer
+/// disconnects. This is the per-connection body of [`serve`], exposed
+/// so daemons can run the same loop over connections they accepted
+/// themselves (e.g. a portal process dialing out to a site server).
 ///
 /// # Errors
 ///
 /// Returns I/O errors other than a clean disconnect; a client dying
 /// mid-frame is an `UnexpectedEof` error (and a counted truncation),
 /// not a silent success.
-pub fn serve_connection(stream: TcpStream, emulator: &mut ReaderEmulator) -> io::Result<()> {
-    serve_stream(stream, |request| emulator.handle_xml(request))
-}
-
-/// Serves one client connection against an emulator shared with other
-/// threads, locking only for the duration of each request — the
-/// per-connection body of [`serve`], exposed so daemons can run the
-/// same loop over connections they accepted themselves (e.g. a portal
-/// process dialing out to a site server).
-///
-/// # Errors
-///
-/// Returns I/O errors other than a clean disconnect, including typed
-/// mid-frame truncations.
 pub fn serve_shared(stream: TcpStream, emulator: &Mutex<ReaderEmulator>) -> io::Result<()> {
     serve_stream(stream, |request| {
         emulator
@@ -241,19 +231,6 @@ pub fn serve_shared(stream: TcpStream, emulator: &Mutex<ReaderEmulator>) -> io::
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .handle_xml(request)
     })
-}
-
-/// Accepts exactly one connection on `listener` and serves it to
-/// completion — enough for tests and single-client deployments; use
-/// [`serve`] for concurrent clients.
-///
-/// # Errors
-///
-/// Returns accept/serve I/O errors.
-pub fn serve_once(listener: &TcpListener, emulator: &mut ReaderEmulator) -> io::Result<()> {
-    let (stream, _peer) = listener.accept()?;
-    counters::record_connection();
-    serve_connection(stream, emulator)
 }
 
 /// Configuration for the multi-connection [`serve`] loop.
@@ -333,6 +310,18 @@ mod tests {
     use crate::client::{ClientError, ReaderClient};
     use crate::protocol::{ReaderMode, TagRecord};
 
+    /// Serves one connection, which must end cleanly, and hands back the emulator.
+    fn serve_one(listener: &TcpListener, emulator: ReaderEmulator) -> ReaderEmulator {
+        let emulator = Mutex::new(emulator);
+        let options = ServeOptions {
+            max_connections: Some(1),
+            ..ServeOptions::default()
+        };
+        let summary = serve(listener, &emulator, options).expect("serve");
+        assert_eq!(summary.connection_errors, 0, "{summary:?}");
+        emulator.into_inner().expect("no session panicked")
+    }
+
     fn spawn_reader() -> (
         std::net::SocketAddr,
         std::thread::JoinHandle<ReaderEmulator>,
@@ -346,8 +335,7 @@ mod tests {
                 antenna: 1,
                 time_s: 0.25,
             }); // dropped: still polled mode
-            serve_once(&listener, &mut emulator).expect("serve");
-            emulator
+            serve_one(&listener, emulator)
         });
         (addr, handle)
     }
@@ -413,8 +401,7 @@ mod tests {
             // First connection: accept and drop. Second: serve a session.
             let (first, _) = listener.accept().expect("accept");
             drop(first);
-            let mut emulator = ReaderEmulator::new();
-            serve_once(&listener, &mut emulator).expect("serve second connection");
+            serve_one(&listener, ReaderEmulator::new());
         });
         let mut transport = TcpTransport::connect(addr).expect("connect");
         let peer = transport.peer();

@@ -1,6 +1,6 @@
 //! The reader command set and its XML encoding.
 
-use crate::wire::{WireError, XmlNode};
+use crate::wire::{self, Cursor, WireError};
 
 /// One tag report served by the reader.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,43 +61,45 @@ impl Request {
     /// Encodes to the XML wire format.
     #[must_use]
     pub fn to_xml(&self) -> String {
-        let body = match self {
-            Request::GetTags => XmlNode::branch("get-tags", Vec::new()),
-            Request::StartBuffered => XmlNode::branch("start-buffered", Vec::new()),
-            Request::StopBuffered => XmlNode::branch("stop-buffered", Vec::new()),
-            Request::ClearBuffer => XmlNode::branch("clear-buffer", Vec::new()),
-            Request::Status => XmlNode::branch("status", Vec::new()),
-            Request::SetPower(dbm) => XmlNode::leaf("set-power", format!("{dbm}")),
-            Request::Identify => XmlNode::branch("identify", Vec::new()),
-        };
-        XmlNode::branch("request", vec![body]).to_xml()
+        let mut out = String::from("<request>");
+        match self {
+            Request::GetTags => out.push_str("<get-tags/>"),
+            Request::StartBuffered => out.push_str("<start-buffered/>"),
+            Request::StopBuffered => out.push_str("<stop-buffered/>"),
+            Request::ClearBuffer => out.push_str("<clear-buffer/>"),
+            Request::Status => out.push_str("<status/>"),
+            Request::SetPower(dbm) => wire::number(&mut out, "set-power", dbm),
+            Request::Identify => out.push_str("<identify/>"),
+        }
+        out.push_str("</request>");
+        out
     }
 
-    /// Decodes from the XML wire format.
+    /// Decodes from the XML wire format: one command element, as
+    /// [`Request::to_xml`] writes it. Whitespace between elements is
+    /// allowed; text between elements is an error.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] for malformed XML or unknown commands.
     pub fn from_xml(xml: &str) -> Result<Request, WireError> {
-        let root = XmlNode::parse(xml)?;
-        if root.name != "request" || root.children.len() != 1 {
-            return Err(WireError::new("expected a <request> with one command"));
-        }
-        let cmd = &root.children[0];
-        match cmd.name.as_str() {
-            "get-tags" => Ok(Request::GetTags),
-            "start-buffered" => Ok(Request::StartBuffered),
-            "stop-buffered" => Ok(Request::StopBuffered),
-            "clear-buffer" => Ok(Request::ClearBuffer),
-            "status" => Ok(Request::Status),
-            "set-power" => cmd
-                .text
-                .parse()
-                .map(Request::SetPower)
-                .map_err(|_| WireError::new("set-power requires a number")),
-            "identify" => Ok(Request::Identify),
-            other => Err(WireError::new(format!("unknown command <{other}>"))),
-        }
+        let mut cursor = Cursor::new(xml);
+        cursor.enter("request")?;
+        let (name, closed) = cursor.start()?;
+        let text = cursor.text(name, closed)?;
+        let request = match name {
+            "get-tags" => Request::GetTags,
+            "start-buffered" => Request::StartBuffered,
+            "stop-buffered" => Request::StopBuffered,
+            "clear-buffer" => Request::ClearBuffer,
+            "status" => Request::Status,
+            "set-power" => Request::SetPower(wire::parse(name, &text)?),
+            "identify" => Request::Identify,
+            other => return Err(WireError::new(format!("unknown command <{other}>"))),
+        };
+        cursor.close("request")?;
+        cursor.finish()?;
+        Ok(request)
     }
 }
 
@@ -120,114 +122,104 @@ impl Response {
     /// Encodes to the XML wire format.
     #[must_use]
     pub fn to_xml(&self) -> String {
-        let body = match self {
-            Response::Ok => XmlNode::branch("ok", Vec::new()),
-            Response::Error(message) => XmlNode::leaf("error", message.clone()),
-            Response::Identity(reader) => XmlNode::leaf("identity", reader.to_string()),
-            Response::Tags(tags) => XmlNode::branch(
-                "tags",
-                tags.iter()
-                    .map(|t| {
-                        XmlNode::branch(
-                            "tag",
-                            vec![
-                                XmlNode::leaf("epc", t.epc.clone()),
-                                XmlNode::leaf("antenna", t.antenna.to_string()),
-                                // Shortest-round-trip float text: the wire
-                                // must hand back the exact timestamp it was
-                                // fed, or the streaming data plane downstream
-                                // of the adapter diverges from the recorded
-                                // truth.
-                                XmlNode::leaf("time", format!("{}", t.time_s)),
-                            ],
-                        )
-                    })
-                    .collect(),
-            ),
-            Response::Status(status) => XmlNode::branch(
-                "status",
-                vec![
-                    XmlNode::leaf(
-                        "mode",
-                        match status.mode {
-                            ReaderMode::Polled => "polled",
-                            ReaderMode::Buffered => "buffered",
-                        },
-                    ),
-                    XmlNode::leaf("power", format!("{}", status.power_dbm)),
-                    XmlNode::leaf("buffered", status.buffered.to_string()),
-                ],
-            ),
-        };
-        XmlNode::branch("response", vec![body]).to_xml()
+        let mut out = String::from("<response>");
+        match self {
+            Response::Ok => out.push_str("<ok/>"),
+            Response::Error(message) => wire::leaf(&mut out, "error", message),
+            Response::Identity(reader) => wire::number(&mut out, "identity", reader),
+            Response::Tags(tags) if tags.is_empty() => out.push_str("<tags/>"),
+            Response::Tags(tags) => {
+                out.push_str("<tags>");
+                for tag in tags {
+                    out.push_str("<tag>");
+                    wire::leaf(&mut out, "epc", &tag.epc);
+                    wire::number(&mut out, "antenna", tag.antenna);
+                    // Shortest-round-trip float text: the wire must hand
+                    // back the exact timestamp it was fed, or the
+                    // streaming data plane downstream of the adapter
+                    // diverges from the recorded truth.
+                    wire::number(&mut out, "time", tag.time_s);
+                    out.push_str("</tag>");
+                }
+                out.push_str("</tags>");
+            }
+            Response::Status(status) => {
+                out.push_str("<status>");
+                let mode = match status.mode {
+                    ReaderMode::Polled => "polled",
+                    ReaderMode::Buffered => "buffered",
+                };
+                wire::leaf(&mut out, "mode", mode);
+                wire::number(&mut out, "power", status.power_dbm);
+                wire::number(&mut out, "buffered", status.buffered);
+                out.push_str("</status>");
+            }
+        }
+        out.push_str("</response>");
+        out
     }
 
-    /// Decodes from the XML wire format.
+    /// Decodes from the XML wire format: the one-element shapes
+    /// [`Response::to_xml`] writes, with their fields in its order.
+    /// Whitespace between elements is allowed; text between elements,
+    /// and unknown, repeated or reordered fields, are errors.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] for malformed XML or unknown reply shapes.
     pub fn from_xml(xml: &str) -> Result<Response, WireError> {
-        let root = XmlNode::parse(xml)?;
-        if root.name != "response" || root.children.len() != 1 {
-            return Err(WireError::new("expected a <response> with one body"));
-        }
-        let body = &root.children[0];
-        match body.name.as_str() {
-            "ok" => Ok(Response::Ok),
-            "error" => Ok(Response::Error(body.text.clone())),
-            "identity" => body
-                .text
-                .parse()
-                .map(Response::Identity)
-                .map_err(|_| WireError::new("identity requires a reader index")),
-            "tags" => {
-                let mut tags = Vec::new();
-                for tag in &body.children {
-                    if tag.name != "tag" {
-                        return Err(WireError::new("expected <tag> entries"));
-                    }
-                    let field = |name: &str| -> Result<&str, WireError> {
-                        tag.child(name)
-                            .map(|n| n.text.as_str())
-                            .ok_or_else(|| WireError::new(format!("missing <{name}>")))
-                    };
-                    tags.push(TagRecord {
-                        epc: field("epc")?.to_owned(),
-                        antenna: field("antenna")?
-                            .parse()
-                            .map_err(|_| WireError::new("bad antenna number"))?,
-                        time_s: field("time")?
-                            .parse()
-                            .map_err(|_| WireError::new("bad timestamp"))?,
-                    });
+        let mut cursor = Cursor::new(xml);
+        cursor.enter("response")?;
+        let response = match cursor.start()? {
+            ("tags", true) => Response::Tags(Vec::new()),
+            ("tags", false) => Response::Tags(tag_list(&mut cursor)?),
+            ("status", true) => return Err(WireError::new("<status> is empty")),
+            ("status", false) => Response::Status(status(&mut cursor)?),
+            (name, closed) => {
+                let text = cursor.text(name, closed)?;
+                match name {
+                    "ok" => Response::Ok,
+                    "error" => Response::Error(text.into_owned()),
+                    "identity" => Response::Identity(wire::parse(name, &text)?),
+                    other => return Err(WireError::new(format!("unknown response <{other}>"))),
                 }
-                Ok(Response::Tags(tags))
             }
-            "status" => {
-                let field = |name: &str| -> Result<&str, WireError> {
-                    body.child(name)
-                        .map(|n| n.text.as_str())
-                        .ok_or_else(|| WireError::new(format!("missing <{name}>")))
-                };
-                let mode = match field("mode")? {
-                    "polled" => ReaderMode::Polled,
-                    "buffered" => ReaderMode::Buffered,
-                    other => return Err(WireError::new(format!("unknown mode {other:?}"))),
-                };
-                Ok(Response::Status(StatusReport {
-                    mode,
-                    power_dbm: field("power")?
-                        .parse()
-                        .map_err(|_| WireError::new("bad power"))?,
-                    buffered: field("buffered")?
-                        .parse()
-                        .map_err(|_| WireError::new("bad buffer count"))?,
-                }))
-            }
-            other => Err(WireError::new(format!("unknown response <{other}>"))),
-        }
+        };
+        cursor.close("response")?;
+        cursor.finish()?;
+        Ok(response)
     }
+}
+
+/// Reads `<tag>` entries through `</tags>`.
+fn tag_list(cursor: &mut Cursor<'_>) -> Result<Vec<TagRecord>, WireError> {
+    let mut tags = Vec::new();
+    while !cursor.at_close("tags") {
+        cursor.enter("tag")?;
+        tags.push(TagRecord {
+            epc: cursor.leaf("epc")?.into_owned(),
+            antenna: cursor.number("antenna")?,
+            time_s: cursor.number("time")?,
+        });
+        cursor.close("tag")?;
+    }
+    Ok(tags)
+}
+
+/// Reads a status report's fields through `</status>`.
+fn status(cursor: &mut Cursor<'_>) -> Result<StatusReport, WireError> {
+    let mode = match cursor.leaf("mode")?.as_ref() {
+        "polled" => ReaderMode::Polled,
+        "buffered" => ReaderMode::Buffered,
+        other => return Err(WireError::new(format!("unknown mode {other:?}"))),
+    };
+    let status = StatusReport {
+        mode,
+        power_dbm: cursor.number("power")?,
+        buffered: cursor.number("buffered")?,
+    };
+    cursor.close("status")?;
+    Ok(status)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use crate::client::Transport;
 use crate::counters;
 use crate::error::TransportError;
-use crate::wire::XmlNode;
+use crate::protocol::Response;
 use rfid_sim::RngStream;
 use std::time::Duration;
 
@@ -90,9 +90,10 @@ impl BackoffPolicy {
 /// Each logical exchange is attempted up to `policy.max_attempts`
 /// times. Between attempts the wrapper sleeps the policy's backoff and
 /// asks the inner transport to [`Transport::reset`] (a `TcpTransport`
-/// reconnects; in-memory transports are a no-op). A response that
-/// arrives but does not parse as a wire document counts as a
-/// [`TransportError::MalformedFrame`] and is retried too — a garbled
+/// reconnects; in-memory transports are a no-op). A reply that arrives
+/// but does not decode as a [`Response`] — garbled bytes, or
+/// well-formed XML of the wrong shape — counts as a
+/// [`TransportError::MalformedFrame`] and is retried too: a garbled
 /// frame is a transport failure, not an application response.
 #[derive(Debug, Clone)]
 pub struct RetryingTransport<T> {
@@ -124,18 +125,6 @@ impl<T: Transport> RetryingTransport<T> {
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
     }
-
-    /// The retry policy in force.
-    #[must_use]
-    pub fn policy(&self) -> BackoffPolicy {
-        self.policy
-    }
-
-    /// Logical exchanges attempted so far (retries not counted).
-    #[must_use]
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
 }
 
 impl<T: Transport> Transport for RetryingTransport<T> {
@@ -157,7 +146,7 @@ impl<T: Transport> Transport for RetryingTransport<T> {
                 }
             }
             match self.inner.exchange(request_xml) {
-                Ok(reply) => match XmlNode::parse(&reply) {
+                Ok(reply) => match Response::from_xml(&reply) {
                     Ok(_) => return Ok(reply),
                     Err(err) => {
                         counters::record_malformed_frame();
@@ -253,6 +242,33 @@ mod tests {
         let mut transport = retrying(2, 4);
         assert!(transport.exchange("<request><status/></request>").is_ok());
         assert_eq!(transport.inner().exchanges, 3);
+    }
+
+    /// Answers every exchange with the same reply.
+    struct Fixed(&'static str, u32);
+
+    impl Transport for Fixed {
+        fn exchange(&mut self, _request_xml: &str) -> Result<String, TransportError> {
+            self.1 += 1;
+            Ok(self.0.to_owned())
+        }
+    }
+
+    #[test]
+    fn well_formed_replies_that_are_no_response_are_retried() {
+        // Well-formed XML that is no response burns every attempt like
+        // any garbled frame, rather than reach the client as bad wire.
+        let bogus = Fixed("<response><bogus/></response>", 0);
+        let mut transport =
+            RetryingTransport::new(bogus, BackoffPolicy::immediate(3), RngStream::new(7));
+        match transport.exchange("<request><get-tags/></request>") {
+            Err(TransportError::RetriesExhausted { attempts: 3, last }) => assert!(
+                matches!(*last, TransportError::MalformedFrame { .. }),
+                "{last:?}"
+            ),
+            other => panic!("expected exhausted retries, got {other:?}"),
+        }
+        assert_eq!(transport.inner().1, 3);
     }
 
     #[test]

@@ -10,9 +10,7 @@ use rfid_sim::SimOutput;
 /// or a test) and served according to the mode:
 ///
 /// * **Buffered** — fed reads accumulate and `get-tags` drains the buffer,
-/// * **Polled** — fed reads are dropped unless a `get-tags` is in flight;
-///   clients use [`ReaderEmulator::poll_window`] to run a single
-///   inventory's worth of truth through the reader.
+/// * **Polled** — fed reads are dropped unless a `get-tags` is in flight.
 #[derive(Debug, Clone, Default)]
 pub struct ReaderEmulator {
     mode: ReaderMode,
@@ -41,17 +39,6 @@ impl ReaderEmulator {
         let mut reader = Self::new();
         reader.reader_id = reader_id;
         reader
-    }
-
-    /// The portal index served to [`Request::Identify`].
-    #[must_use]
-    pub fn reader_id(&self) -> usize {
-        self.reader_id
-    }
-
-    /// Re-labels the portal index served to [`Request::Identify`].
-    pub fn set_reader_id(&mut self, reader_id: usize) {
-        self.reader_id = reader_id;
     }
 
     /// Current mode.
@@ -97,12 +84,6 @@ impl ReaderEmulator {
         for read in &output.reads {
             self.feed_sim_read(read);
         }
-    }
-
-    /// Runs one polled inventory: serves exactly the given reads as the
-    /// response to the *next* `get-tags`, regardless of mode.
-    pub fn poll_window(&mut self, records: Vec<TagRecord>) {
-        self.buffer = records;
     }
 
     /// Handles a decoded request.
@@ -228,10 +209,7 @@ mod tests {
         let mut reader = ReaderEmulator::new();
         assert_eq!(reader.handle(&Request::Identify), Response::Identity(0));
         let mut portal = ReaderEmulator::with_reader_id(3);
-        assert_eq!(portal.reader_id(), 3);
         assert_eq!(portal.handle(&Request::Identify), Response::Identity(3));
-        portal.set_reader_id(5);
-        assert_eq!(portal.handle(&Request::Identify), Response::Identity(5));
     }
 
     #[test]
@@ -239,16 +217,5 @@ mod tests {
         let mut reader = ReaderEmulator::new();
         let response = reader.handle_xml("not xml at all");
         assert!(response.contains("<error>"));
-    }
-
-    #[test]
-    fn poll_window_serves_once() {
-        let mut reader = ReaderEmulator::new();
-        reader.poll_window(vec![record("AA", 0.1)]);
-        match reader.handle(&Request::GetTags) {
-            Response::Tags(tags) => assert_eq!(tags.len(), 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(reader.handle(&Request::GetTags), Response::Tags(Vec::new()));
     }
 }

@@ -105,12 +105,6 @@ impl WireEventAdapter {
         Self::new(reader, world.tags.iter().map(|tag| tag.epc))
     }
 
-    /// The reader index stamped on converted events.
-    #[must_use]
-    pub fn reader(&self) -> usize {
-        self.reader
-    }
-
     /// Converts one wire record to a read event.
     ///
     /// # Errors

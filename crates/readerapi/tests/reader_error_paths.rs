@@ -119,7 +119,7 @@ fn client_error_display_and_source_cover_every_variant() {
         ),
         (
             ClientError::Wire(
-                rfid_readerapi::XmlNode::parse("not xml").expect_err("garbage must fail"),
+                rfid_readerapi::Response::from_xml("not xml").expect_err("garbage must fail"),
             ),
             "wire error",
             true,

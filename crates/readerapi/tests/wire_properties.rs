@@ -1,65 +1,105 @@
-//! Property tests over the XML wire format: the parser never panics on
-//! arbitrary input, and every generated document round-trips.
+//! Property tests over the XML wire format: the decoders never panic on
+//! arbitrary input, every generated message round-trips, and whitespace
+//! between elements never changes what a frame decodes to.
 
 use proptest::prelude::*;
-use rfid_readerapi::{valid_name, Request, Response, StatusReport, TagRecord, XmlNode};
+use rfid_readerapi::{ReaderMode, Request, Response, StatusReport, TagRecord};
 
-/// Every name the parser accepts: alphanumerics and `-`, any position.
-const NAME: &str = "[a-zA-Z0-9-][a-zA-Z0-9-]{0,8}";
-/// Printable text *plus the control characters* that used to desync the
-/// newline framing (`\n`, `\r`, `\t`, low controls, DEL).
+/// Printable text, markup included, plus the control characters that
+/// used to desync the newline framing.
 const TEXT: &str = "[ -~\n\r\t\u{0}-\u{8}\u{7f}]{0,24}";
+/// Whitespace as the decoders see it, ASCII and wider.
+const GAP: &str = "[ \t\n\r\u{b}\u{c}\u{85}\u{a0}\u{2028}\u{3000}]{0,3}";
 
-fn arb_leaf() -> impl Strategy<Value = XmlNode> {
-    (NAME, TEXT).prop_map(|(name, text)| XmlNode::leaf(&name, text.trim_matches(' ').to_owned()))
-}
-
-fn arb_tree() -> impl Strategy<Value = XmlNode> {
-    arb_leaf().prop_recursive(3, 24, 4, |inner| {
-        (NAME, proptest::collection::vec(inner, 0..4))
-            .prop_map(|(name, children)| XmlNode::branch(&name, children))
+fn arb_request() -> impl Strategy<Value = Request> {
+    (0u8..7, -40.0f64..40.0).prop_map(|(kind, dbm)| match kind {
+        0 => Request::GetTags,
+        1 => Request::StartBuffered,
+        2 => Request::StopBuffered,
+        3 => Request::ClearBuffer,
+        4 => Request::Status,
+        5 => Request::SetPower(dbm),
+        _ => Request::Identify,
     })
 }
 
+fn arb_response() -> impl Strategy<Value = Response> {
+    let specials = [-0.0, 5e-324, 1e300, f64::INFINITY, -f64::INFINITY, f64::NAN];
+    let time = prop_oneof![-1e6f64..1e6, (0usize..6).prop_map(move |i| specials[i])];
+    let tag = (TEXT, 0u8..=255, time).prop_map(|(epc, antenna, time_s)| TagRecord {
+        epc,
+        antenna,
+        time_s,
+    });
+    let status = StatusReport {
+        mode: ReaderMode::Buffered,
+        power_dbm: 27.5,
+        buffered: 3,
+    };
+    prop_oneof![
+        Just(Response::Ok),
+        Just(Response::Status(status)),
+        TEXT.prop_map(Response::Error),
+        (0usize..10_000).prop_map(Response::Identity),
+        proptest::collection::vec(tag, 0..6).prop_map(Response::Tags),
+    ]
+}
+
+/// Inserts the gaps, in turn, before every tag that follows another
+/// tag, before the first tag, after the last, and inside every
+/// self-closing tag (`<name />`). A frame's text never holds a raw `<`
+/// or `>`, so every `>` ends a tag.
+fn spread(xml: &str, gaps: &[String]) -> String {
+    let mut gaps = gaps.iter().map(String::as_str).cycle();
+    let mut gap = move || gaps.next().unwrap_or("");
+    let mut out = String::new();
+    for piece in xml.split_inclusive('>') {
+        if piece.starts_with('<') {
+            out.push_str(gap());
+        }
+        match piece.strip_suffix("/>") {
+            Some(tag) => {
+                out.push_str(tag);
+                out.push_str(gap());
+                out.push_str("/>");
+            }
+            None => out.push_str(piece),
+        }
+    }
+    out.push_str(gap());
+    out
+}
+
 proptest! {
-    /// Arbitrary bytes: parsing returns a Result, never panics.
+    /// Arbitrary bytes: decoding returns a Result, never panics.
     #[test]
     fn parser_never_panics(input in ".{0,256}") {
-        let _ = XmlNode::parse(&input);
+        let _ = Request::from_xml(&input);
+        let _ = Response::from_xml(&input);
     }
 
     /// Arbitrary angle-bracket soup: still no panics.
     #[test]
     fn parser_survives_tag_soup(input in "[<>/a-z \\-]{0,128}") {
-        let _ = XmlNode::parse(&input);
+        let _ = Request::from_xml(&input);
+        let _ = Response::from_xml(&input);
     }
 
-    /// parse ∘ to_xml is the identity on every constructible node: any
-    /// name [`XmlNode::try_leaf`]/[`try_branch`] accept serializes to a
-    /// single control-free frame that parses back to the same tree.
-    /// (Before name validation, `leaf("a b", …)` serialized happily and
-    /// then failed to parse, breaking this symmetry.)
+    /// Whitespace between the elements of any encoded message, and
+    /// inside its self-closing tags, leaves the decoded value unchanged.
     #[test]
-    fn trees_round_trip(tree in arb_tree()) {
-        let xml = tree.to_xml();
-        prop_assert!(
-            xml.chars().all(|c| !c.is_control()),
-            "frame must be single-line: {:?}", xml
-        );
-        let parsed = XmlNode::parse(&xml).expect("own output must parse");
-        prop_assert_eq!(parsed, tree);
-    }
-
-    /// Name validation at construction matches the parser exactly: a
-    /// name is constructible iff the parser would accept it.
-    #[test]
-    fn constructible_names_match_parser_names(name in "[ -~]{0,10}") {
-        let constructible = XmlNode::try_branch(&name, Vec::new()).is_ok();
-        prop_assert_eq!(constructible, valid_name(&name));
-        if constructible {
-            let xml = XmlNode::try_branch(&name, Vec::new()).unwrap().to_xml();
-            prop_assert!(XmlNode::parse(&xml).is_ok(), "{:?}", xml);
-        }
+    fn whitespace_between_elements_changes_nothing(
+        request in arb_request(),
+        response in arb_response(),
+        gaps in proptest::collection::vec(GAP, 1..16),
+    ) {
+        let (request, response) = (request.to_xml(), response.to_xml());
+        let spread = (spread(&request, &gaps), spread(&response, &gaps));
+        let decoded = (Request::from_xml(&request), Response::from_xml(&response));
+        prop_assert!(decoded.0.is_ok() && decoded.1.is_ok(), "{:?}", decoded);
+        // Debug text tells -0.0 from 0.0 and shows NaN, where `==` cannot.
+        let respread = (Request::from_xml(&spread.0), Response::from_xml(&spread.1));
+        prop_assert_eq!(format!("{:?}", respread), format!("{:?}", decoded), "{:?}", spread);
     }
 
     /// EPCs and error text containing newlines survive the protocol
@@ -120,7 +160,7 @@ proptest! {
     /// Status reports round-trip.
     #[test]
     fn status_round_trips(power in 10.0f64..33.0, buffered in 0usize..10_000) {
-        for mode in [rfid_readerapi::ReaderMode::Polled, rfid_readerapi::ReaderMode::Buffered] {
+        for mode in [ReaderMode::Polled, ReaderMode::Buffered] {
             let response = Response::Status(StatusReport {
                 mode,
                 power_dbm: power,

@@ -124,7 +124,8 @@ struct InstantMemo {
 /// Per-(trial, tag, link) values that do not depend on `t`: the two
 /// shadowing draws and the fast-fading process. Pure functions of the
 /// trial seed and the link identity, so caching them for the channel's
-/// lifetime (one trial) is invisible.
+/// lifetime is invisible. A channel lives one inventory round, so they
+/// are drawn again for every tag in every round.
 #[derive(Debug, Clone, Copy)]
 struct TagStatics {
     shadow_tag: f64,
@@ -132,9 +133,10 @@ struct TagStatics {
     fading: FadingProcess,
 }
 
-/// RF truth for one (reader, antenna) pair during one trial: implements
-/// [`AirChannel`] by evaluating the full link budget against the
-/// instantaneous world geometry.
+/// RF truth for one (reader, antenna) pair during one inventory round:
+/// implements [`AirChannel`] by evaluating the full link budget against
+/// the instantaneous world geometry. The runner builds a fresh channel
+/// for every round, so every memo below lives one round.
 ///
 /// The Gen-2 inventory engine interrogates the channel up to ~5 times per
 /// slot at the *same* `(tag, t)` (Query power-up, RN16, ACK, EPC), and
@@ -143,7 +145,7 @@ struct TagStatics {
 /// therefore memoizes per tag: the last `(t, LinkReport, interference)`
 /// triple, the last coupling-geometry refresh (shared across all tags at
 /// one `t`, covering moving worlds the static [`ScenarioCache`] cannot),
-/// and the per-tag [`FadingProcess`] (fixed for the whole trial). Memoized
+/// and the per-tag [`FadingProcess`] (fixed for the channel's lifetime). Memoized
 /// results are bit-identical to recomputation; [`PortalChannel::without_memo`]
 /// disables all three layers for reference runs.
 #[derive(Debug)]
@@ -229,8 +231,8 @@ impl<'a> PortalChannel<'a> {
         }
     }
 
-    /// Disables every memoization layer (round-scoped link memo, per-`t`
-    /// geometry memo, trial-scoped fading cache), forcing a full
+    /// Disables every memoization layer (link memo, per-`t` geometry
+    /// memo, per-tag statics and fading caches), forcing a full
     /// recomputation per call. Memoized and unmemoized channels are
     /// bit-identical by contract; this is the reference path property
     /// tests and benchmarks compare against.
@@ -411,8 +413,8 @@ impl<'a> PortalChannel<'a> {
     /// The deterministic fading process of this (tag, antenna) link. The
     /// process is a pure function of the trial seed and the link identity,
     /// so it is cached per tag for the lifetime of the channel (one
-    /// trial); the cached copy is the same value the uncached construction
-    /// returns.
+    /// inventory round); the cached copy is the same value the uncached
+    /// construction returns.
     #[must_use]
     pub fn fading(&self, tag: usize) -> FadingProcess {
         if self.memo_enabled {

@@ -359,17 +359,18 @@ impl Parser<'_> {
                     return Err(JsonError::at(self.pos, "raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let step = match std::str::from_utf8(rest) {
-                        Ok(s) => s.chars().next().map_or(1, char::len_utf8),
-                        Err(_) => 1,
-                    };
-                    let end = self.pos + step;
-                    if let Ok(s) = std::str::from_utf8(&self.bytes[self.pos..end]) {
-                        out.push_str(s);
-                    }
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte in one step. All three
+                    // are ASCII, so the run of a `&str` ends on a char
+                    // boundary and is valid UTF-8 on its own.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let end = self.pos + run;
+                    let plain = std::str::from_utf8(&self.bytes[self.pos..end])
+                        .map_err(|_| JsonError::at(self.pos, "invalid UTF-8 in string"))?;
+                    out.push_str(plain);
                     self.pos = end;
                 }
             }
@@ -402,6 +403,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn round_trips_structured_documents() {
@@ -492,5 +495,81 @@ mod tests {
         assert_eq!(doc.get("name").and_then(Json::as_str), Some("dock"));
         assert!(doc.get("missing").is_none());
         assert!(Json::Null.get("x").is_none());
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // The server parses a request line before it checks the token,
+        // so a line up to the 64 KiB cap must parse in time linear in
+        // its length, whatever characters it holds.
+        let token = "é".repeat(32_000);
+        let line = format!(r#"{{"token":"{token}","method":"counters"}}"#);
+        let started = Instant::now();
+        let doc = Json::parse(&line).expect("valid document");
+        let elapsed = started.elapsed();
+        assert_eq!(
+            doc.get("token").and_then(Json::as_str),
+            Some(token.as_str())
+        );
+        assert!(elapsed < Duration::from_millis(100), "took {elapsed:?}");
+    }
+
+    /// String text: printable ASCII (quotes and backslashes included),
+    /// every control character, and multi-byte characters.
+    const TEXT: &str = "[ -~\u{0}-\u{1f}\u{7f}\u{85}\u{2028}éλ📦]{0,16}";
+
+    fn arb_leaf() -> impl Strategy<Value = Json> {
+        prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            any::<f64>().prop_map(Json::Num),
+            (0usize..6)
+                .prop_map(|i| Json::Num([-0.0, 5e-324, 1e-300, 1e300, f64::MAX, -f64::MAX][i])),
+            TEXT.prop_map(Json::Str),
+        ]
+    }
+
+    /// Documents up to four containers deep, wrapped in up to
+    /// `MAX_DEPTH - 4` more, so the deepest reach the cap exactly.
+    fn arb_json() -> impl Strategy<Value = Json> {
+        let tree = arb_leaf().prop_recursive(4, 24, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+                proptest::collection::vec((TEXT, inner), 0..4).prop_map(Json::Obj),
+            ]
+        });
+        (tree, 0..=MAX_DEPTH - 4, any::<u32>()).prop_map(|(mut doc, wraps, kinds)| {
+            for level in 0..wraps {
+                doc = if (kinds >> level) & 1 == 0 {
+                    Json::Arr(vec![doc])
+                } else {
+                    Json::Obj(vec![("k".into(), doc)])
+                };
+            }
+            doc
+        })
+    }
+
+    proptest! {
+        /// Arbitrary text parses or fails with a typed error; it never
+        /// panics.
+        #[test]
+        fn parse_never_panics(input in "[ -~\u{0}-\u{1f}\u{7f}éλ📦]{0,128}") {
+            let _ = Json::parse(&input);
+        }
+
+        /// Quote, brace, bracket and backslash soup: still no panics.
+        #[test]
+        fn parse_survives_delimiter_soup(input in "[\"{}\\[\\]\\\\:,0-9eE.+\\-ntrfalsu ]{0,128}") {
+            let _ = Json::parse(&input);
+        }
+
+        /// Every document the writer serializes parses back to itself.
+        #[test]
+        fn written_documents_parse_back(doc in arb_json()) {
+            let text = doc.to_json().expect("finite document");
+            prop_assert!(!text.contains('\n'), "{:?}", text);
+            prop_assert_eq!(Json::parse(&text).expect("own output parses"), doc);
+        }
     }
 }

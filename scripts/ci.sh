@@ -81,8 +81,11 @@ timeout 120 cargo test -q -p rfid-site-server --test store_replay
 # Re-run the wire-path failure suites under a hard wall-clock budget.
 # These tests exist to prove a stalled or faulted peer cannot hang the
 # client; if a hang regression slips back in, `timeout` fails the gate
-# fast instead of wedging CI until the runner is killed.
+# fast instead of wedging CI until the runner is killed. The wire
+# properties feed the one-pass decoder arbitrary and hostile frames, so
+# a decoder loop that stops advancing fails the gate the same way.
 timeout 120 cargo test -q -p rfid-readerapi --test reader_error_paths
+timeout 120 cargo test -q -p rfid-readerapi --test wire_properties
 timeout 120 cargo test -q --test reader_fault_injection
 
 # The campaign checkpoint recovery suite under its own budget: the
