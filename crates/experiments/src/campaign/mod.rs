@@ -125,6 +125,10 @@ impl CampaignAccumulator {
     }
 }
 
+/// The fewest bytes a [`CampaignAccumulator`] encodes to: its three
+/// counters and three empty summaries.
+const MIN_ACCUMULATOR_BYTES: usize = 426;
+
 /// Full campaign progress: what a checkpoint persists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignState {
@@ -200,8 +204,10 @@ impl CampaignState {
         let spec_digest = word(8, &mut cur)?;
         let instances_done = word(8, &mut cur)?;
         let deployments = word(4, &mut cur)? as usize;
-        if deployments > 1 << 20 {
-            return Err(bad("implausible deployment count"));
+        // The count is untrusted: reserve for it only if the bytes left
+        // can hold that many accumulators and the total after them.
+        if deployments >= (buf.len() - cur) / MIN_ACCUMULATOR_BYTES {
+            return Err(bad("more deployments than the bytes can hold"));
         }
         let mut per_deployment = Vec::with_capacity(deployments);
         for _ in 0..deployments {
@@ -275,6 +281,7 @@ pub fn run_campaign(executor: &TrialExecutor, spec: &CampaignSpec) -> CampaignSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn accumulator_roundtrips_through_codec() {
@@ -321,6 +328,13 @@ mod tests {
     }
 
     #[test]
+    fn the_empty_accumulator_is_the_shortest_encoding() {
+        let mut out = Vec::new();
+        CampaignAccumulator::new().encode(&mut out);
+        assert_eq!(out.len(), MIN_ACCUMULATOR_BYTES);
+    }
+
+    #[test]
     fn decode_rejects_corruption() {
         let spec = CampaignSpec::smoke(24);
         let state = CampaignState::new(&spec);
@@ -328,5 +342,85 @@ mod tests {
         assert!(CampaignState::decode(&bytes[..bytes.len() - 1]).is_err());
         bytes.push(0);
         assert!(CampaignState::decode(&bytes).is_err(), "trailing byte");
+    }
+
+    fn summary() -> impl Strategy<Value = StreamSummary> {
+        let sample = prop_oneof![-1e6f64..1e6, Just(0.0), Just(f64::NAN), Just(f64::INFINITY)];
+        proptest::collection::vec(sample, 0..8).prop_map(|data| StreamSummary::from_samples(&data))
+    }
+
+    fn accumulator() -> impl Strategy<Value = CampaignAccumulator> {
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            summary(),
+            summary(),
+            summary(),
+        )
+            .prop_map(
+                |(trials, objects, detected, detection, reads_per_tag, rounds)| {
+                    CampaignAccumulator {
+                        trials,
+                        objects,
+                        detected,
+                        detection,
+                        reads_per_tag,
+                        rounds,
+                    }
+                },
+            )
+    }
+
+    fn state() -> impl Strategy<Value = CampaignState> {
+        let per_deployment = proptest::collection::vec(accumulator(), 0..3);
+        (any::<u64>(), any::<u64>(), per_deployment, accumulator()).prop_map(
+            |(spec_digest, instances_done, per_deployment, total)| CampaignState {
+                spec_digest,
+                instances_done,
+                per_deployment,
+                total,
+            },
+        )
+    }
+
+    /// Whether `bytes` decode to a state or to `BadEncoding`.
+    fn decodes_or_is_bad(bytes: &[u8]) -> bool {
+        matches!(
+            CampaignState::decode(bytes),
+            Ok(_) | Err(StatsError::BadEncoding { .. })
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn state_codec_round_trips(state in state()) {
+            prop_assert_eq!(CampaignState::decode(&state.encode_vec()), Ok(state));
+        }
+
+        /// Arbitrary bytes decode to a state or `BadEncoding`, never a
+        /// panic.
+        #[test]
+        fn state_decode_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+        ) {
+            prop_assert!(decodes_or_is_bad(&bytes));
+        }
+
+        /// A valid encoding with any one 8-byte word overwritten, at
+        /// every offset, decodes to a state or `BadEncoding`, never a
+        /// panic.
+        #[test]
+        fn state_decode_survives_an_overwritten_word(
+            state in state(),
+            word in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+        ) {
+            let buf = state.encode_vec();
+            for offset in 0..=buf.len() - 8 {
+                let mut hostile = buf.clone();
+                hostile[offset..offset + 8].copy_from_slice(&word.to_le_bytes());
+                prop_assert!(decodes_or_is_bad(&hostile), "offset {}", offset);
+            }
+        }
     }
 }

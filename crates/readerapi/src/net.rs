@@ -17,7 +17,7 @@ use crate::client::Transport;
 use crate::counters;
 use crate::error::TransportError;
 use crate::server::ReaderEmulator;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -27,6 +27,12 @@ use std::time::Duration;
 /// enough for any real reader, short enough that a wedged peer cannot
 /// hang an application.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The longest wire line either side reads, in bytes before its
+/// newline: about 190,000 tag records at 88 B each. Lines are read
+/// through a limit one byte past it, so a longer line is refused once
+/// that much of it has arrived and cannot grow the process.
+pub(crate) const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// A [`Transport`] over a TCP connection to a reader endpoint.
 #[derive(Debug)]
@@ -124,19 +130,36 @@ impl Transport for TcpTransport {
             .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|err| self.classify(&err))?;
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        let mut line = Vec::new();
+        let read = self
+            .reader
+            .by_ref()
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line);
+        match read {
             Ok(0) => {
                 counters::record_disconnect();
                 Err(TransportError::Disconnected)
             }
-            Ok(_) if !line.ends_with('\n') => {
+            Ok(_) if line.last() == Some(&b'\n') => match String::from_utf8(line) {
+                Ok(mut reply) => {
+                    reply.truncate(reply.trim_end().len());
+                    Ok(reply)
+                }
+                Err(err) => Err(self.classify(&io::Error::new(io::ErrorKind::InvalidData, err))),
+            },
+            Ok(read) if read > MAX_FRAME_BYTES => {
+                counters::record_malformed_frame();
+                Err(TransportError::MalformedFrame {
+                    detail: format!("reply line exceeds {MAX_FRAME_BYTES} bytes"),
+                })
+            }
+            Ok(_) => {
                 // EOF arrived mid-frame: the peer died while writing.
                 counters::record_malformed_frame();
                 counters::record_truncation();
                 Err(TransportError::Truncated)
             }
-            Ok(_) => Ok(line.trim_end().to_owned()),
             Err(err) => Err(self.classify(&err)),
         }
     }
@@ -186,8 +209,18 @@ fn serve_stream(stream: TcpStream, mut handle: impl FnMut(&str) -> String) -> io
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match reader
+            .by_ref()
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .read_line(&mut line)
+        {
             Ok(0) => return Ok(()), // clean disconnect at a frame boundary
+            Ok(read) if read > MAX_FRAME_BYTES && !line.ends_with('\n') => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
+                ));
+            }
             Ok(_) if !line.ends_with('\n') => {
                 counters::record_truncation();
                 return Err(io::Error::new(
@@ -416,5 +449,60 @@ mod tests {
         assert!(reply.contains("<status>"));
         drop(transport);
         server.join().expect("server thread");
+    }
+
+    /// A reply line longer than [`MAX_FRAME_BYTES`] is a malformed
+    /// frame once the cap has been read; it is not buffered whole.
+    #[test]
+    fn a_reply_line_over_the_cap_is_a_malformed_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut request = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut request)
+                .expect("request");
+            let mut reply = vec![b'x'; MAX_FRAME_BYTES + 1];
+            reply.push(b'\n');
+            // The client may hang up before the newline is sent.
+            let _ = (&stream).write_all(&reply);
+        });
+        let mut transport = TcpTransport::connect(addr).expect("connect");
+        let err = transport
+            .exchange("<request><status/></request>")
+            .expect_err("the reply is over the cap");
+        assert!(
+            matches!(err, TransportError::MalformedFrame { .. }),
+            "{err:?}"
+        );
+        drop(transport);
+        server.join().expect("server thread");
+    }
+
+    /// A request line longer than [`MAX_FRAME_BYTES`] ends its
+    /// connection with an error once the cap has been read.
+    #[test]
+    fn a_request_line_over_the_cap_is_a_connection_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut request = vec![b'x'; MAX_FRAME_BYTES + 1];
+            request.push(b'\n');
+            // The server may hang up before the newline arrives; until
+            // it does, wait for its end of the connection.
+            let _ = stream.write_all(&request);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = io::copy(&mut stream, &mut io::sink());
+        });
+        let emulator = Mutex::new(ReaderEmulator::new());
+        let options = ServeOptions {
+            max_connections: Some(1),
+            ..ServeOptions::default()
+        };
+        let summary = serve(&listener, &emulator, options).expect("serve");
+        client.join().expect("client thread");
+        assert_eq!(summary.connection_errors, 1, "{summary:?}");
     }
 }

@@ -655,10 +655,14 @@ impl QuantileSketch {
             }
         }
         let [pos, neg] = maps;
-        let bucketed: u64 =
-            pos.values().sum::<u64>() + neg.values().sum::<u64>() + zero + pos_inf + neg_inf;
-        if bucketed != count {
-            return Err(bad("sketch bucket counts disagree with total"));
+        // Crafted counts can overflow the sum; that is malformed too.
+        let bucketed = pos
+            .values()
+            .chain(neg.values())
+            .chain([&zero, &pos_inf, &neg_inf])
+            .try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if bucketed != Some(count) {
+            return Err(bad("sketch bucket counts overflow or disagree with total"));
         }
         Ok(Self {
             pos,
@@ -1194,6 +1198,23 @@ mod tests {
         }
     }
 
+    /// Counts whose sum overflows `u64` are malformed: neither a panic
+    /// nor a wrapped sum that happens to match the total.
+    #[test]
+    fn sketch_decode_rejects_counts_that_overflow() {
+        let mut buf = Vec::new();
+        // zero, pos_inf, neg_inf, nan, count; then two empty maps.
+        for word in [0, u64::MAX, 1, 0, 0] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(&[0; 8]);
+        assert_eq!(buf.len(), 48);
+        assert!(matches!(
+            QuantileSketch::decode(&buf, &mut 0),
+            Err(StatsError::BadEncoding { .. })
+        ));
+    }
+
     #[test]
     fn summary_matches_batch_reference_on_a_simple_stream() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
@@ -1259,6 +1280,14 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(StreamSummary::decode(&buf[..cut], &mut 0).is_err());
         }
+    }
+
+    /// Whether `bytes` decode to a summary or to `BadEncoding`.
+    fn decodes_or_is_bad(bytes: &[u8]) -> bool {
+        matches!(
+            StreamSummary::decode(bytes, &mut 0),
+            Ok(_) | Err(StatsError::BadEncoding { .. })
+        )
     }
 
     /// Samples covering ~600 orders of magnitude, both signs, zeros.
@@ -1377,6 +1406,31 @@ mod tests {
             prop_assert_eq!(cur, buf.len());
             prop_assert_eq!(&back, &s);
             prop_assert_eq!(back.encode_vec(), buf);
+        }
+
+        /// Arbitrary bytes decode to a summary or `BadEncoding`, never
+        /// a panic.
+        #[test]
+        fn summary_decode_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        ) {
+            prop_assert!(decodes_or_is_bad(&bytes));
+        }
+
+        /// A valid encoding with any one 8-byte word overwritten, at
+        /// every offset, decodes to a summary or `BadEncoding`, never a
+        /// panic.
+        #[test]
+        fn summary_decode_survives_an_overwritten_word(
+            data in proptest::collection::vec(sample_strategy(), 0..40),
+            word in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+        ) {
+            let buf = StreamSummary::from_samples(&data).encode_vec();
+            for offset in 0..=buf.len() - 8 {
+                let mut hostile = buf.clone();
+                hostile[offset..offset + 8].copy_from_slice(&word.to_le_bytes());
+                prop_assert!(decodes_or_is_bad(&hostile), "offset {}", offset);
+            }
         }
     }
 }

@@ -6,32 +6,31 @@
 //! append-only, segmented log of [`Record`]s with per-record CRC-32
 //! framing, deterministic serialization ([`codec`]), crash recovery
 //! with explicit torn-tail semantics, and a per-object span index over
-//! segments answering `location_at(object, t)` point queries in
-//! `O(log n)` probes plus at most two bounded segment reads. Each
-//! object's span is one flat list of the closed segments holding it,
-//! 4 bytes each, sorted by construction because segments close in
-//! order, so indexing a segment pushes; beside it the span keeps the
-//! object's newest observation in those segments. Each closed segment
-//! keeps the time key ([`index::time_key`]) of its first record;
-//! appends are time-ordered, so those keys rise with the segments and a
-//! query is one `partition_point` over them. It also keeps its
-//! observation count, its highest zone and the time key of its newest
-//! observation, so a restart learns each object's estimate, the store's
-//! zones and which segments hold the newest time without reading the
-//! log again ([`ZoneHistoryStore::visit_latest`]). Replay streams the
-//! log one segment at a time ([`ZoneHistoryStore::visit_segments`]);
-//! every segment it reads is checked again, CRC and decode, exactly as
-//! recovery checked it.
+//! segments answering `location_at(object, t)` point queries in one
+//! hash probe plus at most two bounded segment reads. Each object's
+//! span is one flat list of the closed segments holding it, 4 bytes
+//! each, sorted by construction because segments close in order, and
+//! its newest observation in them; indexing a segment is one probe per
+//! observation, which lists the segment on the object's first one
+//! there. Each closed segment keeps the time key ([`index::time_key`])
+//! of its first record; appends are time-ordered, so those keys rise
+//! with the segments and a query is one `partition_point` over them.
+//! It also keeps its observation count, its highest zone and the time
+//! key of its newest observation, so a restart learns each object's
+//! estimate, the store's zones and which segments hold the newest time
+//! without reading the log again ([`ZoneHistoryStore::visit_latest`]).
+//! Replay streams the log one segment at a time
+//! ([`ZoneHistoryStore::visit_segments`]); every segment it reads is
+//! checked again, CRC and decode, exactly as recovery checked it.
 //!
 //! Recovery and replay read ahead: one private reader runs a thread that
 //! reads, CRC-checks and decodes the segments in index order, at most
 //! two segments ahead of the calling thread, which takes them in that
-//! order. In recovery the thread also finds each object's last
-//! observation in the segment. Everything that depends on earlier
-//! segments — the base sequence against the running count, time order
-//! across segments, which segment is final, the span index — happens on
-//! the calling thread, so the first fault in index order is the error,
-//! as when one thread read them all.
+//! order. Everything that depends on earlier segments — the base
+//! sequence against the running count, time order across segments,
+//! which segment is final, the span index — happens on the calling
+//! thread, so the first fault in index order is the error, as when one
+//! thread read them all.
 //!
 //! # On-disk format
 //!
@@ -74,8 +73,6 @@ pub use index::{time_key, ZoneHistoryIndex};
 
 use crate::constraints::ZoneObservation;
 use crate::registry::ObjectHandle;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
@@ -231,19 +228,6 @@ struct ClosedSegment {
 }
 
 impl ClosedSegment {
-    fn new(base_seq: u64, records: &[Record], observed: &Observed) -> Self {
-        Self {
-            base_seq,
-            records: records.len() as u64,
-            first_key: records
-                .first()
-                .map_or(u64::MAX, |record| time_key(record.time_s())),
-            observations: observed.count,
-            max_zone: observed.max_zone,
-            newest_key: observed.newest_key,
-        }
-    }
-
     /// The records of `parsed`, segment `index` read back from disk,
     /// once it checks out as recovery found it: any deviation is
     /// corruption. `high_s` is the newest time before the segment, or
@@ -283,57 +267,72 @@ struct Span {
     newest: ZoneObservation,
 }
 
-/// What the span index takes from one segment's observations.
-struct Observed {
-    /// Each object's last observation in the segment, one per object,
-    /// in the order the objects first appear.
-    last: Vec<ZoneObservation>,
-    count: u64,
-    max_zone: usize,
-    newest_key: u64,
+/// The span index: one [`Span`] per object in first-appearance order,
+/// behind open-addressing slots keyed by `mix64` of the id and sized by
+/// the number of objects, never by an id (segments are hostile input):
+/// colliding ids slow the probes, never make an answer wrong.
+#[derive(Debug, Default)]
+struct ObjectTable {
+    spans: Vec<Span>,
+    /// Linear probing: `0` is empty, else one plus a position in
+    /// `spans`. A power of two long, at least twice `spans`.
+    slots: Vec<usize>,
 }
 
-impl Observed {
-    /// Summarizes `records` with an open-addressing table in `slots`,
-    /// reused across calls. The table is sized by the record count,
-    /// never by an object id, which a segment's bytes choose: a slot
-    /// holds `0` when empty, else one plus the position in `last` of
-    /// the object hashed there.
-    fn of(records: &[Record], slots: &mut Vec<usize>) -> Self {
-        let mask = (2 * records.len()).next_power_of_two() - 1;
-        slots.clear();
-        slots.resize(mask + 1, 0);
-        let mut observed = Self {
-            last: Vec::new(),
-            count: 0,
-            max_zone: 0,
-            newest_key: 0,
-        };
-        for record in records {
-            let Record::Observation(observation) = record else {
-                continue;
-            };
-            observed.count += 1;
-            observed.max_zone = observed.max_zone.max(observation.zone);
-            observed.newest_key = time_key(observation.time_s);
-            let object = observation.object.index();
-            let mut slot = rfid_sim::mix64(object as u64) as usize & mask;
-            loop {
-                match slots[slot] {
-                    0 => {
-                        observed.last.push(*observation);
-                        slots[slot] = observed.last.len();
-                        break;
-                    }
-                    held if observed.last[held - 1].object.index() == object => {
-                        observed.last[held - 1] = *observation;
-                        break;
-                    }
-                    _ => slot = (slot + 1) & mask,
-                }
+impl ObjectTable {
+    /// The closed segments holding `object`, ascending.
+    fn segments(&self, object: usize) -> &[SegmentId] {
+        self.position(object)
+            .map_or(&[], |position| &self.spans[position].segments)
+    }
+
+    fn position(&self, object: usize) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut slot = rfid_sim::mix64(object as u64) as usize & mask;
+        loop {
+            let position = self.slots[slot].checked_sub(1)?;
+            if self.spans[position].newest.object.index() == object {
+                return Some(position);
             }
+            slot = (slot + 1) & mask;
         }
-        observed
+    }
+
+    /// Lists segment `index` in the span of `observation`'s object on
+    /// its first observation there, and makes `observation` the newest.
+    fn observe(&mut self, index: SegmentId, observation: &ZoneObservation) {
+        let position = self
+            .position(observation.object.index())
+            .unwrap_or_else(|| self.insert(*observation));
+        let span = &mut self.spans[position];
+        if span.segments.last() != Some(&index) {
+            span.segments.push(index);
+        }
+        span.newest = *observation;
+    }
+
+    /// Adds a span for a new object and returns its position, doubling
+    /// the slots (and placing every span again) past half full.
+    fn insert(&mut self, newest: ZoneObservation) -> usize {
+        let added = self.spans.len();
+        self.spans.push(Span {
+            segments: Vec::new(),
+            newest,
+        });
+        let mut placed = added;
+        if 2 * self.spans.len() > self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(2)];
+            placed = 0;
+        }
+        let mask = self.slots.len() - 1;
+        for (position, span) in self.spans.iter().enumerate().skip(placed) {
+            let mut slot = rfid_sim::mix64(span.newest.object.index() as u64) as usize & mask;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = position + 1;
+        }
+        added
     }
 }
 
@@ -357,12 +356,9 @@ pub struct ZoneHistoryStore {
     dir: PathBuf,
     config: StoreConfig,
     closed: Vec<ClosedSegment>,
-    /// Per object: every *closed* segment containing it, ascending, and
-    /// its newest observation in them. Segments close in order and
-    /// their first keys rise with them, so a `partition_point` over the
-    /// listed segments' first keys lands on the newest one that starts
-    /// at or before `t`.
-    spans: BTreeMap<usize, Span>,
+    /// Per object: the *closed* segments holding it and its newest
+    /// observation in them.
+    objects: ObjectTable,
     open: Option<OpenSegment>,
     next_seq: u64,
     high_s: Option<f64>,
@@ -560,22 +556,23 @@ fn record_fault(records: &[Record], segment_index: u32) -> Option<(usize, StoreE
     None
 }
 
-/// Reads segments `0..count` on one scoped reader thread and hands each,
-/// as `read` returns it, to `consume` on the calling thread, strictly in
-/// index order, so reading and decoding overlap with `consume`.
+/// Reads segments `0..count` of `dir` on one scoped reader thread and
+/// hands each to `consume` on the calling thread, strictly in index
+/// order, so reading and decoding overlap with `consume`. Only segment
+/// `torn_tolerant` may end in a torn tail ([`read_segment`]).
 ///
 /// The hand-over channel has one slot, so at most two segments are
 /// read ahead of `consume`: one waiting in the channel and one the
 /// thread holds until there is room. The read ends at the first
-/// error in index order, from `read` or from `consume`: the receiver is
-/// dropped, so the thread's next send fails and it stops. A thread that
-/// cannot be spawned is a [`StoreError::Io`], and so is one that
-/// panicked.
-fn read_in_order<T: Send>(
+/// error in index order, from the parse or from `consume`: the
+/// receiver is dropped, so the thread's next send fails and it stops. A
+/// thread that cannot be spawned is a [`StoreError::Io`], and so is one
+/// that panicked.
+fn read_in_order(
     dir: &Path,
     count: u32,
-    mut read: impl FnMut(u32) -> Result<T, StoreError> + Send,
-    mut consume: impl FnMut(u32, T) -> Result<(), StoreError>,
+    torn_tolerant: Option<u32>,
+    mut consume: impl FnMut(u32, ParsedSegment) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
     let stopped = |detail: &str| StoreError::Io {
         path: dir.to_path_buf(),
@@ -587,7 +584,8 @@ fn read_in_order<T: Send>(
             .name("segment-reader".to_owned())
             .spawn_scoped(scope, move || {
                 for index in 0..count {
-                    let parsed = read(index);
+                    let path = dir.join(segment_file_name(index));
+                    let parsed = read_segment(&path, index, Some(index) == torn_tolerant);
                     let failed = parsed.is_err();
                     if sender.send(parsed).is_err() || failed {
                         break;
@@ -650,7 +648,7 @@ impl ZoneHistoryStore {
             dir: dir.clone(),
             config,
             closed: Vec::new(),
-            spans: BTreeMap::new(),
+            objects: ObjectTable::default(),
             open: None,
             next_seq: 0,
             high_s: None,
@@ -667,20 +665,9 @@ impl ZoneHistoryStore {
         let contiguous = u32::try_from(contiguous)
             .map_err(|_| StoreError::MissingSegment { index: u32::MAX })?;
         let last = indices.last().copied();
-        let mut slots = Vec::new();
-        read_in_order(
-            &dir,
-            contiguous,
-            |index| {
-                let path = dir.join(segment_file_name(index));
-                let parsed = read_segment(&path, index, Some(index) == last)?;
-                let observed = Observed::of(&parsed.records, &mut slots);
-                Ok((parsed, observed))
-            },
-            |index, (parsed, observed)| {
-                store.recover_segment(index, Some(index) == last, parsed, observed)
-            },
-        )?;
+        read_in_order(&dir, contiguous, last, |index, parsed| {
+            store.recover_segment(index, Some(index) == last, parsed)
+        })?;
         if indices.len() > contiguous as usize {
             return Err(StoreError::MissingSegment { index: contiguous });
         }
@@ -689,14 +676,12 @@ impl ZoneHistoryStore {
     }
 
     /// Validates and registers one existing segment, read and parsed by
-    /// the reader thread of [`read_in_order`], which also summarized
-    /// its observations ([`Observed::of`]).
+    /// the reader thread of [`read_in_order`].
     fn recover_segment(
         &mut self,
         index: u32,
         is_last: bool,
         parsed: ParsedSegment,
-        observed: Observed,
     ) -> Result<(), StoreError> {
         parsed.check_in_order(index, self.next_seq, self.high_s)?;
         if let Some(newest) = parsed.records.last() {
@@ -708,16 +693,16 @@ impl ZoneHistoryStore {
         self.next_seq = base_seq + parsed.records.len() as u64;
 
         let path = self.segment_path(index);
-        let reopen_as_tail = is_last && parsed.records.len() < self.config.records_per_segment;
-        if reopen_as_tail {
-            if parsed.torn_bytes > 0 {
-                let file = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| io_error(&path, &e))?;
-                file.set_len(parsed.clean_len)
-                    .map_err(|e| io_error(&path, &e))?;
-            }
+        if parsed.torn_bytes > 0 {
+            // Keep the clean prefix authoritative: truncate the rest.
+            let file = OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .map_err(|e| io_error(&path, &e))?;
+            file.set_len(parsed.clean_len)
+                .map_err(|e| io_error(&path, &e))?;
+        }
+        if is_last && parsed.records.len() < self.config.records_per_segment {
             let mut file = OpenOptions::new()
                 .append(true)
                 .open(&path)
@@ -734,49 +719,34 @@ impl ZoneHistoryStore {
                 records: parsed.records,
             });
         } else {
-            if parsed.torn_bytes > 0 {
-                // A full final segment with trailing garbage: keep the
-                // clean prefix authoritative by truncating the rest.
-                let file = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| io_error(&path, &e))?;
-                file.set_len(parsed.clean_len)
-                    .map_err(|e| io_error(&path, &e))?;
-            }
-            self.close_segment(index, base_seq, &parsed.records, &observed);
+            self.close_segment(index, base_seq, &parsed.records);
         }
         Ok(())
     }
 
-    /// Registers a freshly closed segment: lists it in the span of each
-    /// object it observes, whose newest observation is then the
-    /// segment's last one of it — one map probe per object of
-    /// `observed` — and keeps its summary.
-    fn close_segment(
-        &mut self,
-        index: SegmentId,
-        base_seq: u64,
-        records: &[Record],
-        observed: &Observed,
-    ) {
-        for &newest in &observed.last {
-            match self.spans.entry(newest.object.index()) {
-                Entry::Vacant(slot) => {
-                    slot.insert(Span {
-                        segments: vec![index],
-                        newest,
-                    });
-                }
-                Entry::Occupied(slot) => {
-                    let span = slot.into_mut();
-                    span.segments.push(index);
-                    span.newest = newest;
-                }
+    /// Registers a freshly closed segment: one pass over its
+    /// observations counts them, keeps the highest zone and the newest
+    /// time key, and makes one [`ObjectTable::observe`] probe each.
+    fn close_segment(&mut self, index: SegmentId, base_seq: u64, records: &[Record]) {
+        let mut segment = ClosedSegment {
+            base_seq,
+            records: records.len() as u64,
+            first_key: records
+                .first()
+                .map_or(u64::MAX, |record| time_key(record.time_s())),
+            observations: 0,
+            max_zone: 0,
+            newest_key: 0,
+        };
+        for record in records {
+            if let Record::Observation(observation) = record {
+                segment.observations += 1;
+                segment.max_zone = segment.max_zone.max(observation.zone);
+                segment.newest_key = time_key(observation.time_s);
+                self.objects.observe(index, observation);
             }
         }
-        self.closed
-            .push(ClosedSegment::new(base_seq, records, observed));
+        self.closed.push(segment);
     }
 
     /// Appends one record, returning its global sequence number.
@@ -802,16 +772,12 @@ impl ZoneHistoryStore {
             }
         }
 
-        if self.open.is_none() {
-            self.open = Some(self.create_segment()?);
-        }
-        // The segment was just created if absent; `expect` would be
-        // unreachable, so thread the invariant without one.
-        let Some(open) = self.open.as_mut() else {
-            return Err(StoreError::Io {
-                path: self.dir.clone(),
-                detail: "open segment vanished".to_owned(),
-            });
+        let open = match &mut self.open {
+            Some(open) => open,
+            None => {
+                let created = self.create_segment()?;
+                self.open.insert(created)
+            }
         };
 
         // The payload is encoded behind room for the frame header, which
@@ -827,16 +793,12 @@ impl ZoneHistoryStore {
             .write_all(frame)
             .map_err(|e| io_error(&open.path, &e))?;
         open.records.push(*record);
+        let full = open.records.len() >= self.config.records_per_segment;
 
         let seq = self.next_seq;
         self.next_seq += 1;
         self.high_s = Some(time_s);
-
-        if self
-            .open
-            .as_ref()
-            .is_some_and(|open| open.records.len() >= self.config.records_per_segment)
-        {
+        if full {
             self.rotate()?;
         }
         Ok(seq)
@@ -872,8 +834,7 @@ impl ZoneHistoryStore {
             return Ok(());
         };
         open.writer.flush().map_err(|e| io_error(&open.path, &e))?;
-        let observed = Observed::of(&open.records, &mut Vec::new());
-        self.close_segment(open.index, open.base_seq, &open.records, &observed);
+        self.close_segment(open.index, open.base_seq, &open.records);
         Ok(())
     }
 
@@ -1003,7 +964,7 @@ impl ZoneHistoryStore {
     /// ([`ZoneHistoryStore::visit_observations`]) would leave it:
     ///
     /// 1. each object's newest observation in the closed segments, when
-    ///    it is older than the newest time, in object order;
+    ///    it is older than the newest time, in first-appearance order;
     /// 2. every closed-segment observation at the newest time, in
     ///    append order;
     /// 3. every observation of the open tail, in append order.
@@ -1027,7 +988,7 @@ impl ZoneHistoryStore {
             return Ok(());
         };
         let high_key = time_key(high_s);
-        for span in self.spans.values() {
+        for span in &self.objects.spans {
             if span.newest.time_s < high_s {
                 visit(span.newest);
             }
@@ -1063,12 +1024,12 @@ impl ZoneHistoryStore {
 
     /// The most recent observed `(zone, time_s)` for `object` at or
     /// before `at_s`: the store-backed point query. The in-memory tail
-    /// answers first; otherwise one `O(log n)` span probe selects the
-    /// newest listed segment that starts at or before `at_s`. That
-    /// segment may hold the object only after `at_s`; every record of
-    /// the segment listed before it is then at or before `at_s`, so
-    /// that one holds the answer. A query reads at most two segments.
-    /// `NaN` query times return `None`.
+    /// answers first; otherwise one table probe finds the object's span,
+    /// whose binary search selects the newest listed segment that starts
+    /// at or before `at_s`. That segment may hold the object only after
+    /// `at_s`; every record of the segment listed before it is then at
+    /// or before `at_s`, so that one holds the answer. A query reads at
+    /// most two segments. `NaN` query times return `None`.
     ///
     /// # Errors
     ///
@@ -1092,9 +1053,7 @@ impl ZoneHistoryStore {
                 return Ok(hit);
             }
         }
-        let Some(span) = self.spans.get(&object.index()).map(|span| &span.segments) else {
-            return Ok(None);
-        };
+        let span = self.objects.segments(object.index());
         let starts_by_bound = span.partition_point(|&segment| {
             self.closed
                 .get(segment as usize)
@@ -1118,13 +1077,11 @@ impl ZoneHistoryStore {
     /// segment can no longer be read back.
     pub fn history_of(&self, object: ObjectHandle) -> Result<Vec<ZoneObservation>, StoreError> {
         let mut out = Vec::new();
-        if let Some(span) = self.spans.get(&object.index()) {
-            for &segment in &span.segments {
-                out.extend(self.read_closed(segment)?.iter().filter_map(|r| match r {
-                    Record::Observation(o) if o.object == object => Some(*o),
-                    _ => None,
-                }));
-            }
+        for &segment in self.objects.segments(object.index()) {
+            out.extend(self.read_closed(segment)?.iter().filter_map(|r| match r {
+                Record::Observation(o) if o.object == object => Some(*o),
+                _ => None,
+            }));
         }
         if let Some(open) = &self.open {
             out.extend(open.records.iter().filter_map(|r| match r {
@@ -1159,7 +1116,7 @@ impl ZoneHistoryStore {
         read_in_order(
             &self.dir,
             self.closed.len() as u32,
-            |index| read_segment(&self.segment_path(index), index, false),
+            None,
             |index, parsed| {
                 let records = self.closed_segment(index)?.check(index, parsed, high_s)?;
                 if let Some(newest) = records.last() {
@@ -1362,13 +1319,54 @@ mod tests {
                 .expect("append");
         }
         assert_eq!(store.segment_count(), 4);
-        assert_eq!(store.spans[&0].segments, [0, 2]);
-        assert_eq!(store.spans[&1].segments, [1, 2]);
+        assert_eq!(store.objects.segments(0), [0, 2]);
+        assert_eq!(store.objects.segments(1), [1, 2]);
         assert_eq!(store.location_at(case, 6.0).expect("q"), Some((1, 2.0)));
         assert_eq!(store.location_at(case, 7.0).expect("q"), Some((3, 7.0)));
         assert_eq!(store.location_at(case, 9.0).expect("q"), Some((2, 8.0)));
         assert_eq!(store.location_at(other, 4.5).expect("q"), Some((2, 4.0)));
         assert_eq!(store.location_at(case, 0.5).expect("q"), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Ids at the ends of the range and ids that share a home slot
+    /// answer on the writing store and on a reopen, an absent id that
+    /// shares it does not, and the slots stay sized by the objects.
+    #[test]
+    fn object_table_answers_extreme_and_colliding_ids() {
+        let dir = temp_dir("ids");
+        let config = StoreConfig {
+            records_per_segment: 3,
+        };
+        let home = |id: usize| rfid_sim::mix64(id as u64) & 0xff;
+        let mut ids = vec![0, 1 << 32, 1 << 63, usize::MAX];
+        ids.extend((1..).filter(|&id| home(id) == home(0)).take(5));
+        let absent = (ids[8] + 1..).find(|&id| home(id) == home(0));
+        let absent = ObjectHandle::from_index(absent.expect("an id"));
+        let mut store = ZoneHistoryStore::open(&dir, config).expect("open");
+        for time_s in [0.0, 1.0, 2.0] {
+            for (zone, &id) in ids.iter().enumerate() {
+                store
+                    .append(&observation(id, zone, time_s))
+                    .expect("append");
+            }
+        }
+        store.flush().expect("flush");
+        let reopened = ZoneHistoryStore::open(&dir, config).expect("reopen");
+        for store in [&store, &reopened] {
+            assert!(store.objects.slots.len() <= 2 * ids.len().next_power_of_two());
+            for (zone, &id) in ids.iter().enumerate() {
+                let object = ObjectHandle::from_index(id);
+                assert_eq!(
+                    store.location_at(object, 1.5).expect("q"),
+                    Some((zone, 1.0))
+                );
+                let history = store.history_of(object).expect("history");
+                assert_eq!(history.len(), 3);
+                assert!(history.iter().all(|o| o.object == object && o.zone == zone));
+            }
+            assert_eq!(store.location_at(absent, 9.0).expect("q"), None);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -522,15 +522,16 @@ proptest! {
     /// query times on, between, before, and after the observations —
     /// both on the store that wrote the log, whose spans were built as
     /// segments rotated, and on a fresh reopen, whose spans recovery
-    /// rebuilt. `history_of` on both is the object's feed.
+    /// rebuilt. `history_of` on both is the object's feed. Forty
+    /// objects make the object table grow and rehash mid-log on both.
     #[test]
     fn location_at_matches_a_full_history_scan(
-        plan in proptest::collection::vec((0usize..3, 0usize..4, 0u8..3), 1..40),
+        plan in proptest::collection::vec((0usize..40, 0usize..4, 0u8..3), 1..40),
         per_segment in 1usize..6,
         probe in 0usize..64,
     ) {
         let dir = store_dir(&format!("prop-query-{per_segment}-{probe}-{}", plan.len()));
-        let objects = handles(3);
+        let objects = handles(40);
         let config = StoreConfig { records_per_segment: per_segment };
         let mut store = ZoneHistoryStore::open(&dir, config).expect("open");
         let mut time_s = 0.0;

@@ -27,13 +27,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 cargo build --release --examples
 cargo test --workspace -q
-# The tracking crates again under the release profile, which is how the
-# daemon ships: `debug_assert!` guards are compiled out there and the
+# The tracking crates and the statistics codecs again under the release
+# profile, which is how the daemon ships: `debug_assert!` guards are
+# compiled out there, integer overflow wraps instead of panicking (a
+# decoder's overflow check must hold without the debug panic), and the
 # packed history entry is integer arithmetic, so only a release run
 # tests the code that ships. These tests drive the store's threaded
 # in-order segment reader, so `timeout` fails the gate on a deadlocked
 # reader instead of hanging it.
-timeout 300 cargo test --release -q -p rfid-track -p rfid-site-server
+timeout 300 cargo test --release -q -p rfid-track -p rfid-site-server -p rfid-stats
 
 # Drive the runnable demos end-to-end under a wall-clock budget:
 # `quickstart` is the front-door experience, and `reader_emulation`
