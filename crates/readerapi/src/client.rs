@@ -26,6 +26,22 @@ pub trait Transport {
     /// completed (I/O failure, timeout, disconnect, truncation).
     fn exchange(&mut self, request_xml: &str) -> Result<String, TransportError>;
 
+    /// Sends one request document and decodes the response document:
+    /// [`Transport::exchange`], then [`Response::from_xml`]. A transport
+    /// that decodes replies itself, as [`crate::RetryingTransport`]
+    /// does to tell a garbled reply from a good one, overrides this to
+    /// return the response it decoded rather than have it decoded
+    /// again; [`ReaderClient`] calls only this.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Transport`] when the exchange could not be
+    /// completed, [`ClientError::Wire`] when the reply does not decode.
+    fn exchange_response(&mut self, request_xml: &str) -> Result<Response, ClientError> {
+        let reply = self.exchange(request_xml)?;
+        Ok(Response::from_xml(&reply)?)
+    }
+
     /// Restores the transport to a usable state after a failed
     /// exchange — a TCP transport reconnects; stateless transports need
     /// nothing and keep this default no-op.
@@ -139,8 +155,7 @@ impl<T: Transport> ReaderClient<T> {
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let reply = self.transport.exchange(&request.to_xml())?;
-        let response = Response::from_xml(&reply)?;
+        let response = self.transport.exchange_response(&request.to_xml())?;
         if let Response::Error(message) = response {
             return Err(ClientError::Reader(message));
         }

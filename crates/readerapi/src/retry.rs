@@ -13,7 +13,7 @@
 //! retry schedule — soak tests replay bit-identically and a field
 //! incident can be reproduced from its seed.
 
-use crate::client::Transport;
+use crate::client::{ClientError, Transport};
 use crate::counters;
 use crate::error::TransportError;
 use crate::protocol::Response;
@@ -94,7 +94,10 @@ impl BackoffPolicy {
 /// but does not decode as a [`Response`] — garbled bytes, or
 /// well-formed XML of the wrong shape — counts as a
 /// [`TransportError::MalformedFrame`] and is retried too: a garbled
-/// frame is a transport failure, not an application response.
+/// frame is a transport failure, not an application response. The
+/// response that decoded is what [`Transport::exchange_response`]
+/// returns, so a [`ReaderClient`](crate::ReaderClient) over this
+/// transport decodes each reply once.
 #[derive(Debug, Clone)]
 pub struct RetryingTransport<T> {
     inner: T,
@@ -125,10 +128,11 @@ impl<T: Transport> RetryingTransport<T> {
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner
     }
-}
 
-impl<T: Transport> Transport for RetryingTransport<T> {
-    fn exchange(&mut self, request_xml: &str) -> Result<String, TransportError> {
+    /// One logical exchange: attempts until a reply decodes as a
+    /// [`Response`], returning the reply with its decoding, or the
+    /// budget is spent.
+    fn attempt(&mut self, request_xml: &str) -> Result<(String, Response), TransportError> {
         let call = self.calls;
         self.calls += 1;
         let attempts = self.policy.max_attempts.max(1);
@@ -147,7 +151,7 @@ impl<T: Transport> Transport for RetryingTransport<T> {
             }
             match self.inner.exchange(request_xml) {
                 Ok(reply) => match Response::from_xml(&reply) {
-                    Ok(_) => return Ok(reply),
+                    Ok(response) => return Ok((reply, response)),
                     Err(err) => {
                         counters::record_malformed_frame();
                         last = TransportError::MalformedFrame {
@@ -162,6 +166,16 @@ impl<T: Transport> Transport for RetryingTransport<T> {
             attempts,
             last: Box::new(last),
         })
+    }
+}
+
+impl<T: Transport> Transport for RetryingTransport<T> {
+    fn exchange(&mut self, request_xml: &str) -> Result<String, TransportError> {
+        self.attempt(request_xml).map(|(reply, _)| reply)
+    }
+
+    fn exchange_response(&mut self, request_xml: &str) -> Result<Response, ClientError> {
+        Ok(self.attempt(request_xml)?.1)
     }
 
     fn reset(&mut self) -> Result<(), TransportError> {
@@ -232,6 +246,22 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(transport.inner().exchanges, 4);
+    }
+
+    #[test]
+    fn exchange_response_returns_the_reply_that_decoded() {
+        let mut transport = retrying(2, 4);
+        let response = transport.exchange_response("<request><status/></request>");
+        assert_eq!(response, Ok(Response::Ok));
+        assert_eq!(transport.inner().exchanges, 3, "2 failures + 1 success");
+        let mut transport = retrying(100, 2);
+        assert!(matches!(
+            transport.exchange_response("<request><status/></request>"),
+            Err(ClientError::Transport(TransportError::RetriesExhausted {
+                attempts: 2,
+                ..
+            }))
+        ));
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub enum ObserveError {
         time_s: f64,
     },
     /// The observation's zone is above 2³¹ − 1: a retained observation
-    /// keeps its zone and inferred flag in one `u32`.
+    /// keeps its zone and inferred flag in one `u32` history key.
     ZoneOutOfRange {
         /// The offending zone.
         zone: usize,
@@ -183,8 +183,8 @@ fn admit(observation: &ZoneObservation) -> Result<(), ObserveError> {
 /// Estimates and history live in one [`ZoneHistoryIndex`] entry per
 /// object, so an observation costs one map probe, historical
 /// [`LocationTracker::location_of`] and
-/// [`LocationTracker::objects_in_zone`] queries are one binary search
-/// of the object's time-ordered run rather than scans, and durable
+/// [`LocationTracker::objects_in_zone`] queries are binary searches of
+/// the object's time-ordered history rather than scans, and durable
 /// deployments can evict observations that are already safe in a
 /// [`ZoneHistoryStore`](crate::store::ZoneHistoryStore) via
 /// [`LocationTracker::evict_history_before`].
@@ -283,8 +283,8 @@ impl LocationTracker {
     ///
     /// Live queries (`now_s` at or past the object's newest
     /// observation) are answered in `O(log objects)` from the running
-    /// estimate; historical queries add one binary search of the
-    /// object's history run, in the same map probe. Observations
+    /// estimate; historical queries add binary searches of the
+    /// object's history, in the same map probe. Observations
     /// evicted by [`LocationTracker::evict_history_before`] no longer
     /// answer historical queries (durable deployments route those to
     /// the store).
@@ -353,7 +353,7 @@ impl LocationTracker {
 
     /// Objects estimated to be in `zone` as of `now_s` (point-in-time,
     /// like [`LocationTracker::location_of`]), ascending by handle.
-    /// One pass over the tracked objects, with at most one history-run
+    /// One pass over the tracked objects, with at most one history
     /// search each.
     #[must_use]
     pub fn objects_in_zone(&self, zone: usize, now_s: f64) -> Vec<ObjectHandle> {

@@ -3,36 +3,40 @@
 //! [`ZoneHistoryIndex`] is the state of the live
 //! [`LocationTracker`](crate::LocationTracker): one entry per object,
 //! holding both the object's live estimate (its newest observation)
-//! and its retained history as one time-ordered run. Recording an
-//! observation is one map probe: the same `entry` call reads the
-//! previous estimate, updates it and appends to (or inserts into) the
-//! run. A point-in-time question — "where was this object at `t`?" —
-//! is answered by the estimate when `t` is at or past it and by one
-//! binary search of the run otherwise. Entries outlive eviction,
-//! because the estimate does; eviction visits only the objects that
-//! still hold history, found through a list the recording probe keeps,
-//! cuts a prefix of each run and frees the buffer of a run it empties,
-//! so an object without history holds only its entry. Entries are
-//! keyed by object in a `BTreeMap`, never a vector indexed by object
-//! id, so no allocation is sized by an id a store segment or a wire
-//! record can choose.
+//! and its retained history. Recording an observation is one map
+//! probe: the same `entry` call reads the previous estimate, updates it
+//! and appends to (or inserts into) the history. A point-in-time
+//! question — "where was this object at `t`?" — is answered by the
+//! estimate when `t` is at or past it and by binary searches of the
+//! history otherwise. Entries outlive eviction, because the estimate
+//! does; eviction visits only the objects that still hold history,
+//! found through a list the recording probe keeps, cuts a prefix of
+//! each history and frees a history it empties, so an object without
+//! history holds only its entry. Entries are keyed by object in a
+//! `BTreeMap`, never a vector indexed by object id, so no allocation
+//! is sized by an id a store segment or a wire record can choose.
 //!
-//! A retained observation costs 12 bytes: its `f64` time and one
-//! `u32` holding the zone and the inferred flag. Zones above
-//! 2³¹ − 1 do not fit and are rejected upstream (the tracker's
+//! A history is a column of times and the runs of equal keys along it,
+//! a key being `zone << 1 | inferred` in one `u32`: the first key is
+//! held inline and each later run is one `(position, key)` change.
+//! Redundant tags, antennas and reader sessions read an object again
+//! and again in the zone it is in, so most retained observations
+//! confirm the one before and cost their 8-byte time alone; an
+//! observation that starts a run adds a 16-byte change. Zones above
+//! 2³¹ − 1 do not fit a key and are rejected upstream (the tracker's
 //! `observe` returns a typed error) rather than truncated.
 //!
-//! Runs compare `f64` times directly: non-finite times are rejected
-//! upstream (the tracker's `observe` and the store's `append` both
-//! return typed errors), and over finite times `f64` order is total
-//! (with `-0.0` and `+0.0` equal). [`time_key`] maps a time to an
+//! Histories compare `f64` times directly: non-finite times are
+//! rejected upstream (the tracker's `observe` and the store's `append`
+//! both return typed errors), and over finite times `f64` order is
+//! total (with `-0.0` and `+0.0` equal). [`time_key`] maps a time to an
 //! order-preserving `u64` for the store's per-segment first keys.
 
 use crate::constraints::ZoneObservation;
 use crate::registry::ObjectHandle;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::collections::BTreeMap;
+use std::iter;
 
 /// Maps a finite time to a `u64` whose unsigned order matches `f64`
 /// order; `-0.0` is identified with `+0.0` so the two equal times get
@@ -57,54 +61,198 @@ pub fn time_key(time_s: f64) -> u64 {
     }
 }
 
-/// The largest zone an [`IndexEntry`] holds: its `u32` keeps one bit
-/// for the inferred flag.
+/// The largest zone a history key holds: its `u32` keeps one bit for
+/// the inferred flag.
 pub(crate) const MAX_ZONE: usize = (u32::MAX >> 1) as usize;
 
-/// One retained observation of an object; the object is its entry's
-/// key. The time, then `zone << 1 | inferred` in one `u32`, packed to
-/// 4-byte alignment so a run spends 12 bytes per observation. Fields
-/// are only ever read by value. Equality compares the time as `f64`,
-/// so `-0.0` and `+0.0` entries are equal.
-#[derive(Clone, Copy, PartialEq)]
-#[repr(C, packed(4))]
-struct IndexEntry {
-    time_s: f64,
-    zone_inferred: u32,
+/// An observation's zone and inferred flag as one history key,
+/// `zone << 1 | inferred`; the caller must have rejected zones above
+/// [`MAX_ZONE`] (debug-asserted here).
+fn key_of(observation: &ZoneObservation) -> u32 {
+    debug_assert!(
+        observation.zone <= MAX_ZONE,
+        "out-of-range zones must be rejected before indexing"
+    );
+    (observation.zone as u32) << 1 | u32::from(observation.inferred)
 }
 
-const _: () = assert!(std::mem::size_of::<IndexEntry>() == 12);
+/// The zone of a history key.
+fn zone_of(key: u32) -> usize {
+    (key >> 1) as usize
+}
 
-impl IndexEntry {
-    /// Packs one observation; the caller must have rejected zones above
-    /// [`MAX_ZONE`] (debug-asserted here).
-    fn new(observation: &ZoneObservation) -> Self {
-        debug_assert!(
-            observation.zone <= MAX_ZONE,
-            "out-of-range zones must be rejected before indexing"
-        );
+/// Where a run of equal keys starts: `times[at]` is its first
+/// observation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Change {
+    at: usize,
+    key: u32,
+}
+
+/// One object's retained observations, ordered by `(time, feed
+/// order)`: a time column and the runs of equal keys along it. A
+/// history is never empty — eviction that empties one frees it — and
+/// its runs are maximal: every change's key differs from the key
+/// before it. Two histories holding the same observations are
+/// therefore equal field by field, so the derived equality is equality
+/// of what they hold; it compares times as `f64`, so `-0.0` equals
+/// `+0.0`.
+#[derive(Debug, Clone, PartialEq)]
+struct History {
+    /// Every observation's time, ascending; equal times in feed order.
+    times: Vec<f64>,
+    /// The key of the first observation.
+    first: u32,
+    /// The later runs by ascending start, each in `1..times.len()`;
+    /// nothing is allocated until the key first changes.
+    changes: Vec<Change>,
+}
+
+impl History {
+    fn new(time_s: f64, key: u32) -> Self {
         Self {
-            time_s: observation.time_s,
-            zone_inferred: (observation.zone as u32) << 1 | u32::from(observation.inferred),
+            times: vec![time_s],
+            first: key,
+            changes: Vec::new(),
         }
     }
 
-    fn zone(self) -> usize {
-        (self.zone_inferred >> 1) as usize
+    /// The key of the run before change `index`: the first key when
+    /// there is none.
+    fn key_before(&self, index: usize) -> u32 {
+        self.changes[..index]
+            .last()
+            .map_or(self.first, |change| change.key)
     }
 
-    fn inferred(self) -> bool {
-        self.zone_inferred & 1 == 1
+    /// Appends an observation at or after every held time.
+    fn push(&mut self, time_s: f64, key: u32) {
+        if key != self.key_before(self.changes.len()) {
+            self.changes.push(Change {
+                at: self.times.len(),
+                key,
+            });
+        }
+        self.times.push(time_s);
     }
-}
 
-impl fmt::Debug for IndexEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("IndexEntry")
-            .field("zone", &self.zone())
-            .field("time_s", &{ self.time_s })
-            .field("inferred", &self.inferred())
-            .finish()
+    /// Inserts an observation after every held one at or before its
+    /// time: one shift of the time column, and of the changes after the
+    /// insertion point, plus at most two changes inserted or one moved
+    /// so the runs stay maximal.
+    fn insert(&mut self, time_s: f64, key: u32) {
+        let at = self.times.partition_point(|&held| held <= time_s);
+        if at == self.times.len() {
+            return self.push(time_s, key);
+        }
+        self.times.insert(at, time_s);
+        let next = self.changes.partition_point(|change| change.at < at);
+        for change in &mut self.changes[next..] {
+            change.at += 1;
+        }
+        if at == 0 {
+            if key != self.first {
+                let first = std::mem::replace(&mut self.first, key);
+                self.changes.insert(0, Change { at: 1, key: first });
+            }
+            return;
+        }
+        let before = self.key_before(next);
+        if key == before {
+            return;
+        }
+        let inserted = Change { at, key };
+        match self.changes.get_mut(next) {
+            // The displaced observation starts a run of this key, which
+            // now starts one earlier.
+            Some(change) if change.at == at + 1 && change.key == key => change.at = at,
+            // It starts a run of another key.
+            Some(change) if change.at == at + 1 => self.changes.insert(next, inserted),
+            // It continues the run before, which the insertion splits.
+            _ => {
+                let resumed = Change {
+                    at: at + 1,
+                    key: before,
+                };
+                self.changes.splice(next..next, [inserted, resumed]);
+            }
+        }
+    }
+
+    /// The `(key, time_s)` of the last observation at or before
+    /// `now_s`: one binary search of the time column and one of the
+    /// changes.
+    fn at(&self, now_s: f64) -> Option<(u32, f64)> {
+        let position = self
+            .times
+            .partition_point(|&held| held <= now_s)
+            .checked_sub(1)?;
+        let run = self.changes.partition_point(|change| change.at <= position);
+        Some((self.key_before(run), self.times[position]))
+    }
+
+    /// Every observation as `(time_s, key)`, in order.
+    fn entries(&self) -> impl Iterator<Item = (f64, u32)> + '_ {
+        let runs = iter::once(Change {
+            at: 0,
+            key: self.first,
+        })
+        .chain(self.changes.iter().copied());
+        let ends = self
+            .changes
+            .iter()
+            .map(|change| change.at)
+            .chain(iter::once(self.times.len()));
+        runs.zip(ends).flat_map(move |(run, end)| {
+            self.times[run.at..end]
+                .iter()
+                .map(move |&time_s| (time_s, run.key))
+        })
+    }
+
+    /// Drops the observations strictly older than `cutoff_s`, returning
+    /// how many: the column's prefix is drained and the changes left
+    /// are rebased onto it. A history this empties is left for the
+    /// caller to free.
+    fn evict_before(&mut self, cutoff_s: f64) -> usize {
+        let stale = self.times.partition_point(|&held| held < cutoff_s);
+        if stale == 0 {
+            return 0;
+        }
+        self.times.drain(..stale);
+        let gone = self.changes.partition_point(|change| change.at <= stale);
+        self.first = self.key_before(gone);
+        self.changes.drain(..gone);
+        for change in &mut self.changes {
+            change.at -= stale;
+        }
+        stale
+    }
+
+    /// The stable merge of `later` after this history: each of
+    /// `later`'s observations lands after every one here at or before
+    /// its time.
+    fn merged(&self, later: &History) -> History {
+        let first = if later.times[0] < self.times[0] {
+            later.first
+        } else {
+            self.first
+        };
+        let mut merged = History {
+            times: Vec::with_capacity(self.times.len() + later.times.len()),
+            first,
+            changes: Vec::new(),
+        };
+        let mut held = self.entries().peekable();
+        let mut later = later.entries().peekable();
+        let entries = iter::from_fn(|| match (held.peek(), later.peek()) {
+            (Some(&(mine, _)), Some(&(theirs, _))) if theirs < mine => later.next(),
+            _ => held.next().or_else(|| later.next()),
+        });
+        for (time_s, key) in entries {
+            merged.push(time_s, key);
+        }
+        merged
     }
 }
 
@@ -113,64 +261,46 @@ impl fmt::Debug for IndexEntry {
 struct ObjectTrack {
     /// The live estimate: the `(zone, time_s)` of the newest
     /// observation, equal times resolving to the later one. Its time is
-    /// at or after every time in `run`.
+    /// at or after every time in `history`.
     latest: (usize, f64),
-    /// Retained history ordered by `(time, feed order)`; eviction that
-    /// cuts all of it frees its buffer.
-    run: VecDeque<IndexEntry>,
+    /// Retained history; `None` once eviction has emptied it.
+    history: Option<Box<History>>,
 }
 
 impl ObjectTrack {
-    /// Records `entry` after every retained observation at or before
-    /// its time, and makes it the estimate unless the estimate is
-    /// newer. Returns the estimate from before.
-    fn record(&mut self, entry: IndexEntry) -> (usize, f64) {
-        let previous = self.latest;
-        if entry.time_s >= previous.1 {
-            // At or after the estimate, hence after the whole run.
-            self.latest = (entry.zone(), entry.time_s);
-            self.run.push_back(entry);
-        } else {
-            let after = self.run.partition_point(|held| held.time_s <= entry.time_s);
-            self.run.insert(after, entry);
-        }
-        previous
-    }
-
     /// The most recent `(zone, time_s)` at or before `now_s`.
     fn at(&self, now_s: f64) -> Option<(usize, f64)> {
         if now_s >= self.latest.1 {
             return Some(self.latest);
         }
-        let at_or_before = self.run.partition_point(|entry| entry.time_s <= now_s);
-        let entry = self.run.get(at_or_before.checked_sub(1)?)?;
-        Some((entry.zone(), entry.time_s))
+        let (key, time_s) = self.history.as_ref()?.at(now_s)?;
+        Some((zone_of(key), time_s))
     }
 }
 
 /// The live estimate and retained zone history of many objects: one
-/// entry per object, supporting one-probe recording, `O(log run)`
+/// entry per object, supporting one-probe recording, `O(log history)`
 /// point-in-time queries and prefix eviction whose cost follows the
 /// objects that hold history.
 ///
-/// Within a run, observations are ordered by time and observations at
-/// equal times keep their feed order. The index is therefore a
+/// Within a history, observations are ordered by time and observations
+/// at equal times keep their feed order. The index is therefore a
 /// deterministic function of each object's own feed: two indexes fed
 /// the same per-object sequences compare equal however those sequences
 /// were interleaved, which is what lets disjoint shards be joined by
 /// [`ZoneHistoryIndex::absorb`] into the index a single feed builds.
 /// Equality compares what the index answers — every estimate and
-/// retained run — and not the order of its eviction list, which
+/// retained history — and not the order of its eviction list, which
 /// follows the interleaving.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneHistoryIndex {
     /// Every object ever recorded; an entry outlives eviction.
     objects: BTreeMap<usize, ObjectTrack>,
-    /// The objects whose run is non-empty, each once: what eviction
-    /// visits. An object joins when an observation lands in its empty
-    /// run and leaves when eviction empties the run.
+    /// The objects holding history, each once: what eviction visits.
+    /// An object joins when an observation lands in its empty history
+    /// and leaves when eviction empties it.
     holding: Vec<usize>,
-    /// Retained observations across all runs.
+    /// Retained observations across all histories.
     len: usize,
 }
 
@@ -203,33 +333,46 @@ impl ZoneHistoryIndex {
     /// object's previous estimate (`None` the first time the object is
     /// seen). The observation lands after every retained observation
     /// of its object at or before its time — at or after the estimate
-    /// it is pushed without a search — and becomes the estimate unless
-    /// the estimate is newer. The caller must have rejected non-finite
-    /// times and zones above [`MAX_ZONE`] (debug-asserted here), as
-    /// [`LocationTracker`](crate::LocationTracker) does.
+    /// it is appended without a search — and becomes the estimate
+    /// unless the estimate is newer. The caller must have rejected
+    /// non-finite times and zones above [`MAX_ZONE`] (debug-asserted
+    /// here), as [`LocationTracker`](crate::LocationTracker) does.
     pub(crate) fn insert(&mut self, observation: ZoneObservation) -> Option<(usize, f64)> {
         debug_assert!(
             observation.time_s.is_finite(),
             "non-finite times must be rejected before indexing"
         );
-        let entry = IndexEntry::new(&observation);
+        let key = key_of(&observation);
+        let (zone, time_s) = (observation.zone, observation.time_s);
         self.len += 1;
         let object = observation.object.index();
         match self.objects.entry(object) {
             Entry::Vacant(slot) => {
                 slot.insert(ObjectTrack {
-                    latest: (observation.zone, observation.time_s),
-                    run: VecDeque::from([entry]),
+                    latest: (zone, time_s),
+                    history: Some(Box::new(History::new(time_s, key))),
                 });
                 self.holding.push(object);
                 None
             }
             Entry::Occupied(mut slot) => {
                 let track = slot.get_mut();
-                if track.run.is_empty() {
-                    self.holding.push(object);
+                let previous = track.latest;
+                let newest = time_s >= previous.1;
+                if newest {
+                    track.latest = (zone, time_s);
                 }
-                Some(track.record(entry))
+                match &mut track.history {
+                    None => {
+                        track.history = Some(Box::new(History::new(time_s, key)));
+                        self.holding.push(object);
+                    }
+                    // At or after the estimate, hence after the whole
+                    // history.
+                    Some(history) if newest => history.push(time_s, key),
+                    Some(history) => history.insert(time_s, key),
+                }
+                Some(previous)
             }
         }
     }
@@ -237,8 +380,8 @@ impl ZoneHistoryIndex {
     /// Records one observation that is to be evicted at once: the
     /// estimate moves exactly as [`ZoneHistoryIndex::insert`] would move
     /// it, and the previous one is returned, but the observation is not
-    /// retained — no run grows or is allocated, and the object does not
-    /// join the eviction list. The caller must have rejected what
+    /// retained — no history grows or is allocated, and the object does
+    /// not join the eviction list. The caller must have rejected what
     /// `insert` requires rejected.
     pub(crate) fn move_estimate(&mut self, observation: ZoneObservation) -> Option<(usize, f64)> {
         let latest = (observation.zone, observation.time_s);
@@ -246,7 +389,7 @@ impl ZoneHistoryIndex {
             Entry::Vacant(slot) => {
                 slot.insert(ObjectTrack {
                     latest,
-                    run: VecDeque::new(),
+                    history: None,
                 });
                 None
             }
@@ -270,11 +413,11 @@ impl ZoneHistoryIndex {
 
     /// The most recent `(zone, time_s)` for `object` at or before
     /// `now_s`: the estimate when `now_s` is at or past it, otherwise
-    /// one binary search of the object's run. Ties at the same time
-    /// resolve to the latest-fed observation, matching a forward scan
-    /// that keeps `time_s <= now_s` maxima with `>=` updates. Evicted
-    /// observations answer nothing, and a `NaN` query time compares
-    /// false everywhere and finds nothing.
+    /// one binary search of the object's times and one of its runs.
+    /// Ties at the same time resolve to the latest-fed observation,
+    /// matching a forward scan that keeps `time_s <= now_s` maxima with
+    /// `>=` updates. Evicted observations answer nothing, and a `NaN`
+    /// query time compares false everywhere and finds nothing.
     #[must_use]
     pub fn latest_at(&self, object: ObjectHandle, now_s: f64) -> Option<(usize, f64)> {
         self.objects.get(&object.index())?.at(now_s)
@@ -297,22 +440,23 @@ impl ZoneHistoryIndex {
     pub fn history_of(&self, object: ObjectHandle) -> impl Iterator<Item = ZoneObservation> + '_ {
         self.objects
             .get(&object.index())
+            .and_then(|track| track.history.as_deref())
             .into_iter()
-            .flat_map(|track| &track.run)
-            .map(move |&entry| ZoneObservation {
+            .flat_map(History::entries)
+            .map(move |(time_s, key)| ZoneObservation {
                 object,
-                zone: entry.zone(),
-                time_s: entry.time_s,
-                inferred: entry.inferred(),
+                zone: zone_of(key),
+                time_s,
+                inferred: key & 1 == 1,
             })
     }
 
     /// Removes every observation strictly older than `cutoff_s`,
     /// returning how many were evicted. Only the objects holding
-    /// history are visited: each run's prefix is cut at a binary
-    /// search, and entries stay, so the estimates survive. A run this
-    /// empties gives its buffer back. Used by durable deployments to
-    /// bound live memory once observations are safely on disk.
+    /// history are visited: each history's prefix is cut at a binary
+    /// search, and entries stay, so the estimates survive. A history
+    /// this empties is freed. Used by durable deployments to bound live
+    /// memory once observations are safely on disk.
     pub fn evict_before(&mut self, cutoff_s: f64) -> usize {
         if !cutoff_s.is_finite() {
             return 0;
@@ -323,13 +467,14 @@ impl ZoneHistoryIndex {
             let Some(track) = objects.get_mut(object) else {
                 return false;
             };
-            let stale = track.run.partition_point(|entry| entry.time_s < cutoff_s);
-            evicted += stale;
-            if stale == track.run.len() {
-                track.run = VecDeque::new();
+            let Some(history) = &mut track.history else {
+                return false;
+            };
+            evicted += history.evict_before(cutoff_s);
+            if history.times.is_empty() {
+                track.history = None;
                 return false;
             }
-            track.run.drain(..stale);
             true
         });
         self.len -= evicted;
@@ -347,39 +492,30 @@ impl ZoneHistoryIndex {
         for (object, later) in other.objects {
             match self.objects.entry(object) {
                 Entry::Vacant(slot) => {
-                    if !later.run.is_empty() {
+                    if later.history.is_some() {
                         self.holding.push(object);
                     }
                     slot.insert(later);
                 }
                 Entry::Occupied(mut slot) => {
                     let track = slot.get_mut();
-                    if track.run.is_empty() && !later.run.is_empty() {
-                        self.holding.push(object);
-                    }
                     if later.latest.1 >= track.latest.1 {
                         track.latest = later.latest;
                     }
-                    merge_after(&mut track.run, later.run);
+                    let Some(later) = later.history else {
+                        continue;
+                    };
+                    match &mut track.history {
+                        Some(history) => **history = history.merged(&later),
+                        None => {
+                            track.history = Some(later);
+                            self.holding.push(object);
+                        }
+                    }
                 }
             }
         }
     }
-}
-
-/// Stable merge of `later` into `run`, both time-ordered: each entry
-/// of `later` lands after every entry of `run` at or before its time.
-fn merge_after(run: &mut VecDeque<IndexEntry>, later: VecDeque<IndexEntry>) {
-    let mut merged = VecDeque::with_capacity(run.len() + later.len());
-    let mut later = later.into_iter().peekable();
-    for entry in run.drain(..) {
-        while let Some(earlier) = later.next_if(|next| next.time_s < entry.time_s) {
-            merged.push_back(earlier);
-        }
-        merged.push_back(entry);
-    }
-    merged.extend(later);
-    *run = merged;
 }
 
 #[cfg(test)]
@@ -448,14 +584,14 @@ mod tests {
         assert_eq!(index.evict_before(10.0), 2);
         assert!(index.is_empty());
         assert_eq!(index.history_of(b).count(), 0);
-        assert_eq!(index.latest_at(a, 2.5), None, "emptied runs answer nothing");
+        assert_eq!(index.latest_at(a, 2.5), None, "evicted: nothing answers");
         assert_eq!(
             index.latest_at(b, 10.0),
             Some((1, 2.0)),
             "the estimate outlives eviction"
         );
         index.insert(obs(b, 3, 11.0));
-        assert_eq!(index.len(), 1, "an emptied run refills");
+        assert_eq!(index.len(), 1, "an emptied history refills");
         assert_eq!(index.latest_at(b, 10.5), None);
     }
 
@@ -473,19 +609,19 @@ mod tests {
         assert_eq!(
             index.holding,
             [hot.index()],
-            "an emptied run leaves the list"
+            "an emptied history leaves the list"
         );
-        let capacity = |index: &ZoneHistoryIndex, object: ObjectHandle| {
-            index.objects[&object.index()].run.capacity()
+        let holds = |index: &ZoneHistoryIndex, object: ObjectHandle| {
+            index.objects[&object.index()].history.is_some()
         };
-        assert_eq!(capacity(&index, quiet), 0, "and gives its buffer back");
-        assert!(capacity(&index, hot) > 0);
+        assert!(!holds(&index, quiet), "and frees its buffers");
+        assert!(holds(&index, hot));
         assert_eq!(index.latest(quiet), Some((1, 1.0)), "the estimate stays");
         index.insert(obs(quiet, 2, 5.0));
         assert_eq!(
             index.holding,
             [hot.index(), quiet.index()],
-            "a refilled run rejoins"
+            "a refilled history rejoins"
         );
         assert_eq!(index.evict_before(4.0), 1);
         assert_eq!(index.holding, [quiet.index()]);
@@ -518,7 +654,10 @@ mod tests {
         assert_eq!(moved.latest(held), Some((2, 2.0)), "ties go to the later");
         assert_eq!(moved.len(), 1, "nothing moved is retained");
         assert_eq!(moved.holding, [held.index()], "or joins the eviction list");
-        assert_eq!(moved.objects[&passing.index()].run.capacity(), 0);
+        assert!(
+            moved.objects[&passing.index()].history.is_none(),
+            "and allocates no history"
+        );
     }
 
     #[test]
@@ -549,9 +688,62 @@ mod tests {
         assert_eq!(held, fed);
         assert_eq!(index.latest_at(case, 2.25), Some((MAX_ZONE, 2.0)));
         assert_eq!(MAX_ZONE, (1 << 31) - 1);
-        let zero = IndexEntry::new(&obs(case, 3, 0.0));
-        assert_eq!(zero, IndexEntry::new(&obs(case, 3, -0.0)), "-0.0 == +0.0");
-        assert_ne!(zero, IndexEntry::new(&obs(case, 2, 0.0)));
+        let fed_once = |zone: usize, time_s: f64| {
+            let mut index = ZoneHistoryIndex::new();
+            index.insert(obs(case, zone, time_s));
+            index
+        };
+        assert_eq!(fed_once(3, 0.0), fed_once(3, -0.0), "-0.0 == +0.0");
+        assert_ne!(fed_once(3, 0.0), fed_once(2, 0.0));
+    }
+
+    /// The `(first, changes)` runs of `object`'s history.
+    fn runs(index: &ZoneHistoryIndex, object: ObjectHandle) -> (u32, Vec<(usize, u32)>) {
+        let history = index.objects[&object.index()].history.as_deref().unwrap();
+        let changes = history.changes.iter().map(|c| (c.at, c.key)).collect();
+        (history.first, changes)
+    }
+
+    #[test]
+    fn late_inserts_and_eviction_keep_runs_maximal() {
+        let mut registry = ObjectRegistry::new();
+        let case = registry.register("case");
+        let mut index = ZoneHistoryIndex::new();
+        for (zone, time_s) in [(1, 1.0), (1, 2.0), (2, 3.0), (2, 4.0), (1, 5.0)] {
+            index.insert(obs(case, zone, time_s));
+        }
+        // A key is `zone << 1`: zone 1 is key 2, zone 2 key 4.
+        assert_eq!(runs(&index, case), (2, vec![(2, 4), (4, 2)]));
+        index.insert(obs(case, 2, 2.0)); // on a boundary, like the run after
+        assert_eq!(runs(&index, case), (2, vec![(2, 4), (5, 2)]));
+        index.insert(obs(case, 2, 4.0)); // on a boundary, like the run before
+        assert_eq!(runs(&index, case), (2, vec![(2, 4), (6, 2)]));
+        index.insert(obs(case, 3, 3.0)); // inside a run: splits it
+        assert_eq!(
+            runs(&index, case),
+            (2, vec![(2, 4), (4, 6), (5, 4), (7, 2)])
+        );
+        index.insert(obs(case, 2, 0.5)); // ahead of everything
+        assert_eq!(
+            runs(&index, case),
+            (4, vec![(1, 2), (3, 4), (5, 6), (6, 4), (8, 2)])
+        );
+        index.insert(obs(case, 4, 4.5)); // on a boundary, like neither
+        assert_eq!(
+            runs(&index, case),
+            (4, vec![(1, 2), (3, 4), (5, 6), (6, 4), (8, 8), (9, 2)])
+        );
+        let zones: Vec<usize> = index.history_of(case).map(|o| o.zone).collect();
+        assert_eq!(zones, [2, 1, 1, 2, 2, 3, 2, 2, 4, 1]);
+        assert_eq!(index.evict_before(2.0), 2, "a cut inside a run");
+        assert_eq!(
+            runs(&index, case),
+            (2, vec![(1, 4), (3, 6), (4, 4), (6, 8), (7, 2)])
+        );
+        assert_eq!(index.evict_before(4.0), 4, "a cut on a boundary");
+        assert_eq!(runs(&index, case), (4, vec![(2, 8), (3, 2)]));
+        assert_eq!(index.latest_at(case, 4.25), Some((2, 4.0)));
+        assert_eq!(index.len(), 4);
     }
 
     #[test]

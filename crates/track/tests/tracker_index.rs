@@ -1,18 +1,22 @@
 //! Equivalence properties for the tracker's indexed query paths.
 //!
 //! `LocationTracker` serves `location_of` and `objects_in_zone` from a
-//! `ZoneHistoryIndex` of per-object time-ordered runs (one binary
-//! search per probe) instead of scanning a history vector. The index
-//! is only an optimization if it is *undetectable*: these properties
-//! pin both queries to a naive full-history reference scan over
-//! arbitrary (including out-of-order) finite feeds, pin eviction to a
-//! filter of the time-sorted feed and, interleaved with observations,
-//! to a per-object model, pin `absorb` to one tracker fed the
-//! concatenated feeds, pin the transitions the operator face emits to
-//! an oracle over the feed, pin the eviction-aware batch feed to
+//! `ZoneHistoryIndex` of per-object time-ordered histories, each a time
+//! column with the runs of equal `(zone, inferred)` keys along it
+//! (binary searches per probe), instead of scanning a history vector.
+//! The index is only an optimization if it is *undetectable*: these
+//! properties pin both queries to a naive full-history reference scan
+//! over arbitrary (including out-of-order) finite feeds, pin eviction
+//! to a filter of the time-sorted feed and, interleaved with
+//! observations, to a per-object model, pin `absorb` to one tracker fed
+//! the concatenated feeds, pin the transitions the operator face emits
+//! to an oracle over the feed, pin the eviction-aware batch feed to
 //! `push` followed by eviction, and pin the typed rejection of
 //! non-finite times that replaced the old panicking `expect`, and of
-//! zones too large for a history entry.
+//! zones too large for a history key. Generated observations draw the
+//! inferred flag, so a key that lost it would show; a zone-churn plan
+//! puts late observations on run boundaries, cuts inside runs and
+//! absorbs interleaved runs.
 
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -20,6 +24,7 @@ use rfid_track::stream::Operator;
 use rfid_track::{
     LocationTracker, ObjectHandle, ObjectRegistry, ObserveError, ZoneObservation, ZoneTransition,
 };
+use std::iter;
 
 const OBJECTS: usize = 3;
 const STALENESS_S: f64 = 4.0;
@@ -31,18 +36,26 @@ fn handles() -> Vec<ObjectHandle> {
         .collect()
 }
 
+/// An observation plan of up to `len` steps, each `(object, zone,
+/// time step, inferred)`.
+fn plan(len: usize) -> impl Strategy<Value = Vec<(usize, usize, u8, bool)>> {
+    proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20, any::<bool>()), 0..len)
+}
+
 /// Builds the tracker and the raw feed from a generated plan. Times
 /// come from a small grid so ties and out-of-order arrivals are
 /// common — exactly the cases where index/scan disagreement would hide.
-fn feed(plan: &[(usize, usize, u8)]) -> (LocationTracker, Vec<ZoneObservation>, Vec<ObjectHandle>) {
+fn feed(
+    plan: &[(usize, usize, u8, bool)],
+) -> (LocationTracker, Vec<ZoneObservation>, Vec<ObjectHandle>) {
     let objects = handles();
     let fed: Vec<ZoneObservation> = plan
         .iter()
-        .map(|&(object, zone, time)| ZoneObservation {
+        .map(|&(object, zone, time, inferred)| ZoneObservation {
             object: objects[object],
             zone,
             time_s: f64::from(time) * 0.5,
-            inferred: false,
+            inferred,
         })
         .collect();
     (tracker_of(&fed), fed, objects)
@@ -135,16 +148,19 @@ proptest! {
     /// arbitrary out-of-order feeds with ties and non-finite times.
     #[test]
     fn push_emits_exactly_the_oracle_transitions(
-        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..3, 0u8..24), 0..64),
+        plan in proptest::collection::vec(
+            (0usize..OBJECTS, 0usize..3, 0u8..24, any::<bool>()),
+            0..64,
+        ),
     ) {
         let objects = handles();
         let fed: Vec<ZoneObservation> = plan
             .iter()
-            .map(|&(object, zone, step)| ZoneObservation {
+            .map(|&(object, zone, step, inferred)| ZoneObservation {
                 object: objects[object],
                 zone,
                 time_s: grid_or_non_finite(step),
-                inferred: false,
+                inferred,
             })
             .collect();
         let mut tracker = LocationTracker::new(STALENESS_S);
@@ -158,7 +174,7 @@ proptest! {
     /// object at probe times before, between, at, and after the feed.
     #[test]
     fn location_of_matches_the_reference_scan(
-        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..48),
+        plan in plan(48),
         probe in 0usize..48,
     ) {
         let (tracker, fed, objects) = feed(&plan);
@@ -180,7 +196,7 @@ proptest! {
     /// through the reference scan, ascending by handle.
     #[test]
     fn objects_in_zone_matches_the_reference_scan(
-        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..48),
+        plan in plan(48),
         zone in 0usize..4,
         probe in 0usize..48,
     ) {
@@ -198,7 +214,7 @@ proptest! {
     /// (time, feed-order) sort — the index loses nothing.
     #[test]
     fn history_of_is_the_time_sorted_feed(
-        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..48),
+        plan in plan(48),
     ) {
         let (tracker, fed, objects) = feed(&plan);
         for object in &objects {
@@ -213,7 +229,7 @@ proptest! {
     /// was. Cutoffs fall on and between the feed's times.
     #[test]
     fn eviction_keeps_the_sorted_feed_at_or_after_the_cutoff(
-        plan in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..48),
+        plan in plan(48),
         cut in 0usize..44,
     ) {
         let (mut tracker, fed, objects) = feed(&plan);
@@ -256,7 +272,7 @@ proptest! {
     #[test]
     fn interleaved_evictions_match_a_per_object_model(
         steps in proptest::collection::vec(
-            (0u8..5, 0usize..OBJECTS, 0usize..4, 0u8..40),
+            (0u8..5, 0usize..OBJECTS, 0usize..4, 0u8..40, any::<bool>()),
             0..64,
         ),
     ) {
@@ -264,7 +280,7 @@ proptest! {
         let mut tracker = LocationTracker::new(STALENESS_S);
         let mut shards = [LocationTracker::new(STALENESS_S), LocationTracker::new(STALENESS_S)];
         let mut model: Vec<Vec<ZoneObservation>> = vec![Vec::new(); OBJECTS];
-        for &(kind, object, zone, time) in &steps {
+        for &(kind, object, zone, time, inferred) in &steps {
             if kind == 0 {
                 let cutoff_s = f64::from(time) * 0.25;
                 let mut stale = 0;
@@ -282,7 +298,7 @@ proptest! {
                     object: objects[object],
                     zone,
                     time_s: f64::from(time / 2) * 0.5,
-                    inferred: false,
+                    inferred,
                 };
                 let run = &mut model[object];
                 let after = run.partition_point(|o| o.time_s <= observation.time_s);
@@ -299,7 +315,7 @@ proptest! {
         let [mut union, other] = shards;
         union.absorb(other);
         prop_assert_eq!(&union, &tracker);
-        let cutoff_s = steps.last().map_or(0.0, |&(_, _, _, time)| f64::from(time) * 0.25);
+        let cutoff_s = steps.last().map_or(0.0, |&(_, _, _, time, _)| f64::from(time) * 0.25);
         prop_assert_eq!(
             union.evict_history_before(cutoff_s),
             tracker.evict_history_before(cutoff_s)
@@ -313,8 +329,8 @@ proptest! {
     /// also equals the tracker fed the original interleaved feed.
     #[test]
     fn absorb_equals_one_tracker_fed_the_concatenated_feeds(
-        first in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..32),
-        second in proptest::collection::vec((0usize..OBJECTS, 0usize..4, 0u8..20), 0..32),
+        first in plan(32),
+        second in plan(32),
     ) {
         let (mut joined, first_fed, _) = feed(&first);
         let (later, second_fed, _) = feed(&second);
@@ -331,7 +347,145 @@ proptest! {
     }
 }
 
-/// A zone the generator picks: small ones, the largest a history entry
+/// One object's zone-churn feed: `runs` of equal `(zone, inferred)`
+/// keys, `length` observations each, at rising times two to a time
+/// step (so some runs start among equal times), in time order.
+fn churn(object: ObjectHandle, runs: &[(usize, bool, usize)]) -> Vec<ZoneObservation> {
+    runs.iter()
+        .flat_map(|&(zone, inferred, length)| iter::repeat_n((zone, inferred), length))
+        .enumerate()
+        .map(|(i, (zone, inferred))| ZoneObservation {
+            object,
+            zone,
+            time_s: (i / 2) as f64,
+            inferred,
+        })
+        .collect()
+}
+
+/// A late observation landing on a boundary of `base`: just after
+/// observation `at - 1` (`place` 0: at its time, 1: half way to the
+/// next), or ahead of the whole feed (2), keyed like the observation
+/// before the boundary (`key` 0), after it (1), or like no run (2).
+fn late_at(
+    base: &[ZoneObservation],
+    at: usize,
+    place: u8,
+    key: u8,
+    inferred: bool,
+) -> ZoneObservation {
+    let time_s = match place {
+        0 => base[at - 1].time_s,
+        1 => (base[at - 1].time_s + base[at].time_s) / 2.0,
+        _ => base[0].time_s - 1.0,
+    };
+    let like = match key {
+        0 => base[at - 1],
+        1 => base[at],
+        _ => ZoneObservation {
+            zone: 3,
+            inferred,
+            ..base[at]
+        },
+    };
+    ZoneObservation { time_s, ..like }
+}
+
+proptest! {
+    /// Zone churn: late observations on run boundaries, an eviction
+    /// that may cut inside a run, and the absorb of two trackers whose
+    /// runs interleave. After each, the tracker answers like the
+    /// reference scans and equals the tracker fed the same history in
+    /// time order, so its runs are as few as the keys allow.
+    #[test]
+    fn zone_churn_matches_the_reference_scans(
+        runs in proptest::collection::vec((0usize..3, any::<bool>(), 1usize..5), 2..10),
+        late in proptest::collection::vec(
+            (0usize..64, 0u8..3, 0u8..3, any::<bool>()),
+            0..8,
+        ),
+        cut in 0usize..64,
+        between in any::<bool>(),
+    ) {
+        let object = handles()[0];
+        let base = churn(object, &runs);
+        let boundaries: Vec<usize> = runs
+            .iter()
+            .scan(0, |start, &(_, _, length)| {
+                *start += length;
+                Some(*start)
+            })
+            .filter(|&at| at < base.len())
+            .collect();
+        let mut fed = base.clone();
+        fed.extend(late.iter().map(|&(pick, place, key, inferred)| {
+            late_at(&base, boundaries[pick % boundaries.len()], place, key, inferred)
+        }));
+        let mut tracker = tracker_of(&fed);
+        let sorted = time_sorted(&fed, object);
+        prop_assert_eq!(&tracker, &tracker_of(&sorted));
+        prop_assert_eq!(tracker.history_of(object).collect::<Vec<_>>(), sorted.clone());
+        let probes = || (0..=4 * base.len() + 4).map(|step| step as f64 * 0.25 - 1.5);
+        for now_s in probes() {
+            prop_assert_eq!(
+                tracker.location_of(object, now_s),
+                scan_location(&fed, object, now_s),
+                "at {}", now_s
+            );
+        }
+
+        let cutoff_s = sorted[cut % sorted.len()].time_s + if between { 0.25 } else { 0.0 };
+        let stale = fed.iter().filter(|o| o.time_s < cutoff_s).count();
+        prop_assert_eq!(tracker.evict_history_before(cutoff_s), stale);
+        let kept: Vec<ZoneObservation> =
+            sorted.iter().copied().filter(|o| o.time_s >= cutoff_s).collect();
+        prop_assert_eq!(tracker.history_of(object).collect::<Vec<_>>(), kept.clone());
+        let mut rebuilt = LocationTracker::new(STALENESS_S);
+        rebuilt.push_and_evict_before(sorted.iter().map(|&o| ((), o)), cutoff_s, &mut Vec::new());
+        prop_assert_eq!(&tracker, &rebuilt);
+        let newest = sorted.last().map_or(0.0, |o| o.time_s);
+        let retained: Vec<ZoneObservation> =
+            fed.iter().copied().filter(|o| o.time_s >= cutoff_s).collect();
+        for now_s in probes() {
+            let reference = if now_s >= newest { &fed } else { &retained };
+            prop_assert_eq!(
+                tracker.location_of(object, now_s),
+                scan_location(reference, object, now_s),
+                "at {} after a cut at {}", now_s, cutoff_s
+            );
+            let want: Vec<ObjectHandle> = (scan_location(reference, object, now_s) == Some(1))
+                .then_some(object)
+                .into_iter()
+                .collect();
+            prop_assert_eq!(tracker.objects_in_zone(1, now_s), want);
+        }
+
+        let run_of: Vec<usize> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(run, &(_, _, length))| iter::repeat_n(run, length))
+            .collect();
+        let runs_of_parity = |parity: usize| -> Vec<ZoneObservation> {
+            base.iter()
+                .zip(&run_of)
+                .filter(|&(_, run)| run % 2 == parity)
+                .map(|(&o, _)| o)
+                .collect()
+        };
+        let (even, odd) = (runs_of_parity(0), runs_of_parity(1));
+        let mut joined = tracker_of(&even);
+        joined.absorb(tracker_of(&odd));
+        let concatenated: Vec<ZoneObservation> = even.iter().chain(&odd).copied().collect();
+        prop_assert_eq!(&joined, &tracker_of(&concatenated));
+        prop_assert_eq!(
+            joined.history_of(object).collect::<Vec<_>>(),
+            time_sorted(&concatenated, object)
+        );
+        prop_assert_eq!(&joined, &tracker_of(&time_sorted(&concatenated, object)));
+    }
+}
+
+/// A zone the generator picks: small ones, the largest a history key
 /// holds, and two above it.
 fn zone_or_out_of_range(pick: u8) -> usize {
     match pick {

@@ -29,12 +29,15 @@ cargo build --release --examples
 cargo test --workspace -q
 # The tracking crates and the statistics codecs again under the release
 # profile, which is how the daemon ships: `debug_assert!` guards are
-# compiled out there, integer overflow wraps instead of panicking (a
-# decoder's overflow check must hold without the debug panic), and the
-# packed history entry is integer arithmetic, so only a release run
-# tests the code that ships. These tests drive the store's threaded
-# in-order segment reader, so `timeout` fails the gate on a deadlocked
-# reader instead of hanging it.
+# compiled out there, and integer overflow wraps instead of panicking.
+# A decoder's overflow check must hold without the debug panic, and a
+# tracker history shifts and rebases its run positions and packs its
+# zone keys with plain integer arithmetic, where a slip would wrap
+# silently; only a release run tests the code that ships. The run
+# includes `history_bytes.rs`, the counting-allocator bounds on tracker
+# heap, as the workspace run above does. These tests drive the store's
+# threaded in-order segment reader, so `timeout` fails the gate on a
+# deadlocked reader instead of hanging it.
 timeout 300 cargo test --release -q -p rfid-track -p rfid-site-server -p rfid-stats
 
 # Drive the runnable demos end-to-end under a wall-clock budget:
