@@ -7,7 +7,8 @@
 //! EXPERIMENT: fig2 | fig4 | table1 | table2 | table3 | table4 | table5 |
 //!             fig6 | fig7 | readers | readrate | spacing | tagdesign |
 //!             ablation | sensitivity | speed | power | all (default)
-//! --trials N  trial multiplier (defaults match the paper's repetitions)
+//! --trials N  trials for every experiment, in place of each one's own count
+//!             (by default the paper's repetitions)
 //! --seed S    master seed (default 2007)
 //! ```
 //!

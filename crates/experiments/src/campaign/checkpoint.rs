@@ -48,10 +48,18 @@ pub enum CheckpointError {
         /// Digest recorded in the checkpoint.
         found: u64,
     },
-    /// A clean frame failed to decode.
+    /// A clean frame failed to decode, or decoded to a state that does
+    /// not fit the spec.
     Corrupt {
         /// What recovery found.
         reason: String,
+    },
+    /// Folding the next instance into the recovered state would
+    /// overflow one of its counts, so the state cannot be a real run's
+    /// and the run stops before appending it.
+    CountOverflow {
+        /// The instance, in compilation order, the state cannot take.
+        instance: u64,
     },
 }
 
@@ -69,6 +77,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Corrupt { reason } => {
                 write!(f, "checkpoint frame corrupt: {reason}")
             }
+            CheckpointError::CountOverflow { instance } => write!(
+                f,
+                "checkpoint state cannot take instance {instance}: a count would overflow u64"
+            ),
         }
     }
 }
@@ -200,8 +212,10 @@ fn append_frame(file: &mut File, state: &CampaignState) -> Result<(), Checkpoint
 /// # Errors
 ///
 /// Returns [`CheckpointError`] if the file cannot be read or written, is
-/// not a checkpoint, records a different spec, or holds a clean frame
-/// that fails to decode.
+/// not a checkpoint, records a different spec, holds a clean frame that
+/// fails to decode or whose deployment count differs from the spec's,
+/// or holds a state whose counts the next instance would overflow. Each
+/// is found before anything is appended for that instance.
 pub fn run_campaign_checkpointed(
     executor: &TrialExecutor,
     spec: &CampaignSpec,
@@ -237,6 +251,15 @@ pub fn run_campaign_checkpointed(
                     found: state.spec_digest,
                 });
             }
+            if state.per_deployment.len() != spec.deployments.len() {
+                return Err(CheckpointError::Corrupt {
+                    reason: format!(
+                        "{} deployment accumulators for a spec of {}",
+                        state.per_deployment.len(),
+                        spec.deployments.len()
+                    ),
+                });
+            }
             state
         }
         None => CampaignState::new(spec),
@@ -252,6 +275,11 @@ pub fn run_campaign_checkpointed(
             }
         }
         let acc = run_instance(executor, &instance);
+        if !state.can_apply(instance.deployment, &acc) {
+            return Err(CheckpointError::CountOverflow {
+                instance: state.instances_done,
+            });
+        }
         state.apply_instance(instance.deployment, &acc);
         append_frame(&mut file, &state)?;
     }
@@ -362,6 +390,62 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CheckpointError::SpecMismatch { .. }));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Writes a checkpoint holding `state` alone and returns its bytes.
+    fn checkpoint_of(path: &Path, state: &CampaignState) -> Vec<u8> {
+        let mut file = File::create(path).unwrap();
+        file.write_all(&CHECKPOINT_MAGIC).unwrap();
+        append_frame(&mut file, state).unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    /// A CRC-valid checkpoint whose trial count sits at `u64::MAX`: the
+    /// resume refuses it with a typed error and leaves the file as it
+    /// was, in every build profile, where folding the next instance in
+    /// would have wrapped the count to zero.
+    #[test]
+    fn a_resume_that_would_overflow_a_count_is_refused() {
+        let spec = CampaignSpec::smoke(36);
+        let path = temp_path("count-overflow");
+        let mut state = CampaignState::new(&spec);
+        state.total.trials = u64::MAX;
+        let bytes = checkpoint_of(&path, &state);
+        let err = run_campaign_checkpointed(
+            &TrialExecutor::serial(),
+            &spec,
+            &path,
+            CampaignRunConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::CountOverflow { instance: 0 }),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A CRC-valid state with one deployment too few for its spec is
+    /// refused before any instance runs, where folding an instance of
+    /// the missing deployment in would have indexed past the end.
+    #[test]
+    fn a_state_missing_a_deployment_is_refused() {
+        let spec = CampaignSpec::smoke(37);
+        let path = temp_path("missing-deployment");
+        let mut state = CampaignState::new(&spec);
+        state.per_deployment.pop();
+        let bytes = checkpoint_of(&path, &state);
+        let err = run_campaign_checkpointed(
+            &TrialExecutor::serial(),
+            &spec,
+            &path,
+            CampaignRunConfig::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -64,13 +64,37 @@ impl CampaignAccumulator {
 
     /// Merges another accumulator in. Exactly associative and
     /// commutative in the multiset of folded trials.
+    ///
+    /// # Panics
+    ///
+    /// If a count overflows ([`CampaignAccumulator::can_merge`]), in
+    /// every build profile.
     pub fn merge(&mut self, other: &CampaignAccumulator) {
-        self.trials += other.trials;
-        self.objects += other.objects;
-        self.detected += other.detected;
+        let add = |a: u64, b: u64| a.checked_add(b).expect("a merged count overflows u64");
+        self.trials = add(self.trials, other.trials);
+        self.objects = add(self.objects, other.objects);
+        self.detected = add(self.detected, other.detected);
         self.detection.merge(&other.detection);
         self.reads_per_tag.merge(&other.reads_per_tag);
         self.rounds.merge(&other.rounds);
+    }
+
+    /// Whether [`CampaignAccumulator::merge`] can take `other` in
+    /// without a count overflowing, its own or one of its summaries'.
+    /// Folding trials cannot get near `u64::MAX`, but an accumulator
+    /// decoded from a checkpoint may hold any count.
+    #[must_use]
+    pub fn can_merge(&self, other: &CampaignAccumulator) -> bool {
+        [
+            (self.trials, other.trials),
+            (self.objects, other.objects),
+            (self.detected, other.detected),
+        ]
+        .iter()
+        .all(|(a, b)| a.checked_add(*b).is_some())
+            && self.detection.can_merge(&other.detection)
+            && self.reads_per_tag.can_merge(&other.reads_per_tag)
+            && self.rounds.can_merge(&other.rounds)
     }
 
     /// Appends the canonical little-endian encoding.
@@ -160,11 +184,20 @@ impl CampaignState {
     /// # Panics
     ///
     /// Panics if `deployment` is out of range for the spec this state
-    /// was created from.
+    /// was created from, or if a count would overflow
+    /// ([`CampaignState::can_apply`]), in every build profile.
     pub fn apply_instance(&mut self, deployment: usize, acc: &CampaignAccumulator) {
         self.per_deployment[deployment].merge(acc);
         self.total.merge(acc);
         self.instances_done += 1;
+    }
+
+    /// Whether [`CampaignState::apply_instance`] can fold `acc` into
+    /// `deployment` without a count overflowing, for a `deployment` in
+    /// range.
+    #[must_use]
+    pub fn can_apply(&self, deployment: usize, acc: &CampaignAccumulator) -> bool {
+        self.per_deployment[deployment].can_merge(acc) && self.total.can_merge(acc)
     }
 
     /// Canonical little-endian encoding.
@@ -342,6 +375,41 @@ mod tests {
         assert!(CampaignState::decode(&bytes[..bytes.len() - 1]).is_err());
         bytes.push(0);
         assert!(CampaignState::decode(&bytes).is_err(), "trailing byte");
+    }
+
+    /// Each count an accumulator merge adds, its own three and each
+    /// summary's sample count, refuses to overflow instead of wrapping.
+    #[test]
+    fn accumulator_merges_refuse_counts_that_would_overflow() {
+        fn full(summary: &StreamSummary) -> StreamSummary {
+            let mut bytes = summary.encode_vec();
+            bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+            StreamSummary::decode(&bytes, &mut 0).unwrap()
+        }
+        let spec = CampaignSpec::smoke(25);
+        let instance = ScenarioCompiler::new(&spec).next().unwrap();
+        let one = run_instance(&TrialExecutor::with_threads(1), &instance);
+        assert!(one.detected > 0 && one.can_merge(&one));
+        type Edit = (&'static str, fn(&mut CampaignAccumulator));
+        let edits: [Edit; 6] = [
+            ("trials", |acc| acc.trials = u64::MAX),
+            ("objects", |acc| acc.objects = u64::MAX),
+            ("detected", |acc| acc.detected = u64::MAX),
+            ("detection", |acc| acc.detection = full(&acc.detection)),
+            ("reads_per_tag", |acc| {
+                acc.reads_per_tag = full(&acc.reads_per_tag)
+            }),
+            ("rounds", |acc| acc.rounds = full(&acc.rounds)),
+        ];
+        for (name, edit) in edits {
+            let mut acc = one.clone();
+            edit(&mut acc);
+            assert!(!acc.can_merge(&one), "{name}: can_merge");
+            let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                acc.merge(&one);
+            }));
+            assert!(merged.is_err(), "{name}: the merge did not panic");
+        }
     }
 
     fn summary() -> impl Strategy<Value = StreamSummary> {

@@ -160,6 +160,11 @@ impl ExactSum {
     /// Merges another accumulator into this one. Exact, associative,
     /// and commutative: the result represents the combined multiset of
     /// pushed values.
+    ///
+    /// # Panics
+    ///
+    /// If a count or a magnitude overflows ([`ExactSum::can_merge`]),
+    /// in every build profile.
     pub fn merge(&mut self, other: &ExactSum) {
         self.normalize();
         let mut o = other.clone();
@@ -169,12 +174,30 @@ impl ExactSum {
             self.neg[i] += o.neg[i];
         }
         self.normalize();
-        self.pos_inf += other.pos_inf;
-        self.neg_inf += other.neg_inf;
-        self.nan += other.nan;
+        self.pos_inf = merged_count(self.pos_inf, other.pos_inf);
+        self.neg_inf = merged_count(self.neg_inf, other.neg_inf);
+        self.nan = merged_count(self.nan, other.nan);
+    }
+
+    /// Whether [`ExactSum::merge`] can take `other` in: each non-finite
+    /// count stays within `u64`, and each side's magnitude within the
+    /// limbs. Pushes cannot get near either bound, but a decoded
+    /// accumulator may hold any count and any limb.
+    #[must_use]
+    pub fn can_merge(&self, other: &ExactSum) -> bool {
+        counts_fit([
+            (self.pos_inf, other.pos_inf),
+            (self.neg_inf, other.neg_inf),
+            (self.nan, other.nan),
+        ]) && magnitudes_fit(&self.pos, &other.pos)
+            && magnitudes_fit(&self.neg, &other.neg)
     }
 
     /// Propagates lazy carries so every limb is `< 2^32` again.
+    ///
+    /// # Panics
+    ///
+    /// If a carry leaves the top limb, in every build profile.
     fn normalize(&mut self) {
         for arr in [&mut self.pos, &mut self.neg] {
             let mut carry = 0u64;
@@ -183,7 +206,7 @@ impl ExactSum {
                 *limb = v & 0xFFFF_FFFF;
                 carry = v >> 32;
             }
-            debug_assert_eq!(carry, 0, "exact sum exceeded its limb range");
+            assert_eq!(carry, 0, "exact sum exceeded its limb range");
         }
         self.pending = 0;
     }
@@ -319,6 +342,33 @@ impl PartialEq for ExactSum {
             && self.neg_inf == other.neg_inf
             && self.nan == other.nan
     }
+}
+
+/// Whether the sum of magnitudes `a` and `b` fits in the limbs.
+fn magnitudes_fit(a: &[u64; LIMBS], b: &[u64; LIMBS]) -> bool {
+    let (mut a, mut b) = (*a, *b);
+    carry_normalize(&mut a);
+    carry_normalize(&mut b);
+    let carry = a
+        .iter()
+        .zip(&b)
+        .fold(0, |carry, (x, y)| (x + y + carry) >> 32);
+    carry == 0
+}
+
+/// `a + b`, for a count a merge adds.
+///
+/// # Panics
+///
+/// If the sum overflows `u64`, in every build profile: a wrapped count
+/// would corrupt the accumulator silently.
+fn merged_count(a: u64, b: u64) -> u64 {
+    a.checked_add(b).expect("a merged count overflows u64")
+}
+
+/// Whether every pair of counts sums within `u64`.
+fn counts_fit(pairs: impl IntoIterator<Item = (u64, u64)>) -> bool {
+    pairs.into_iter().all(|(a, b)| a.checked_add(b).is_some())
 }
 
 /// Carry-normalizes a copied limb array in place.
@@ -539,7 +589,16 @@ impl QuantileSketch {
 
     /// Merges another sketch into this one (bucket-count addition:
     /// exactly associative and commutative).
+    ///
+    /// # Panics
+    ///
+    /// If a count overflows ([`QuantileSketch::can_merge`]), in every
+    /// build profile.
     pub fn merge(&mut self, other: &QuantileSketch) {
+        // The bucket, zero and infinity counts sum to `count` on each
+        // side, so none of them overflows once it fits.
+        self.count = merged_count(self.count, other.count);
+        self.nan = merged_count(self.nan, other.nan);
         for (&i, &c) in &other.pos {
             *self.pos.entry(i).or_insert(0) += c;
         }
@@ -549,8 +608,15 @@ impl QuantileSketch {
         self.zero += other.zero;
         self.pos_inf += other.pos_inf;
         self.neg_inf += other.neg_inf;
-        self.nan += other.nan;
-        self.count += other.count;
+    }
+
+    /// Whether [`QuantileSketch::merge`] can take `other` in without a
+    /// count overflowing `u64`. Pushes keep every other count a part of
+    /// the rankable count, and decode refuses a sketch whose parts do
+    /// not sum to it, so the rankable and NaN counts decide.
+    #[must_use]
+    pub fn can_merge(&self, other: &QuantileSketch) -> bool {
+        counts_fit([(self.count, other.count), (self.nan, other.nan)])
     }
 
     /// Rankable samples recorded (excludes NaN).
@@ -771,9 +837,14 @@ impl StreamSummary {
 
     /// Merges another summary into this one. Exactly associative and
     /// commutative; bit-identical to pushing the combined multiset.
+    ///
+    /// # Panics
+    ///
+    /// If a count overflows ([`StreamSummary::can_merge`]), in every
+    /// build profile.
     pub fn merge(&mut self, other: &StreamSummary) {
-        self.n += other.n;
-        self.nan += other.nan;
+        self.n = merged_count(self.n, other.n);
+        self.nan = merged_count(self.nan, other.nan);
         self.sum.merge(&other.sum);
         self.sum_sq.merge(&other.sum_sq);
         self.sketch.merge(&other.sketch);
@@ -783,6 +854,18 @@ impl StreamSummary {
         if other.max.total_cmp(&self.max).is_gt() {
             self.max = other.max;
         }
+    }
+
+    /// Whether [`StreamSummary::merge`] can take `other` in without a
+    /// count of the summary, its exact sums or its sketch overflowing.
+    /// Pushes cannot get near `u64::MAX`, but a decoded summary may hold
+    /// any count, so a merge into one checks first.
+    #[must_use]
+    pub fn can_merge(&self, other: &StreamSummary) -> bool {
+        counts_fit([(self.n, other.n), (self.nan, other.nan)])
+            && self.sum.can_merge(&other.sum)
+            && self.sum_sq.can_merge(&other.sum_sq)
+            && self.sketch.can_merge(&other.sketch)
     }
 
     /// Samples pushed (including NaN).
@@ -1213,6 +1296,95 @@ mod tests {
             QuantileSketch::decode(&buf, &mut 0),
             Err(StatsError::BadEncoding { .. })
         ));
+    }
+
+    /// A named edit of an accumulator.
+    type Edit<T> = (&'static str, fn(&mut T));
+
+    /// For each edit that raises a count of `one` to `u64::MAX`, checks
+    /// that the edited value cannot take `one` in and that merging it
+    /// anyway panics, in every build profile, instead of wrapping.
+    fn refuses_overflow<T: Clone>(
+        one: &T,
+        edits: &[Edit<T>],
+        can_merge: fn(&T, &T) -> bool,
+        merge: fn(&mut T, &T),
+    ) {
+        assert!(can_merge(one, one));
+        for (name, edit) in edits {
+            let mut full = one.clone();
+            edit(&mut full);
+            assert!(!can_merge(&full, one), "{name}: can_merge");
+            let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                merge(&mut full, one);
+            }));
+            assert!(merged.is_err(), "{name}: the merge did not panic");
+        }
+    }
+
+    /// Every count a merge adds refuses to overflow, as decoded
+    /// accumulators may hold any count: each exact sum's infinity and
+    /// NaN counts and its two magnitudes, the sketch's rankable and NaN
+    /// counts, and the summary's sample and NaN counts over both.
+    #[test]
+    fn merges_refuse_counts_that_would_overflow() {
+        let mut sum = ExactSum::new();
+        for x in [1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            sum.push(x);
+        }
+        refuses_overflow(
+            &sum,
+            &[
+                ("pos_inf", |s| s.pos_inf = u64::MAX),
+                ("neg_inf", |s| s.neg_inf = u64::MAX),
+                ("nan", |s| s.nan = u64::MAX),
+                ("pos", |s| s.pos = [0xFFFF_FFFF; LIMBS]),
+                ("neg", |s| s.neg = [0xFFFF_FFFF; LIMBS]),
+            ],
+            ExactSum::can_merge,
+            ExactSum::merge,
+        );
+
+        let mut sketch = QuantileSketch::new();
+        for x in [1.0, 0.0, f64::INFINITY, f64::NAN] {
+            sketch.push(x);
+        }
+        refuses_overflow(
+            &sketch,
+            &[
+                ("count", |s| {
+                    s.zero += u64::MAX - s.count;
+                    s.count = u64::MAX;
+                }),
+                ("nan", |s| s.nan = u64::MAX),
+            ],
+            QuantileSketch::can_merge,
+            QuantileSketch::merge,
+        );
+
+        let summary = StreamSummary::from_samples(&[1.0, -1.0, f64::INFINITY, f64::NAN]);
+        refuses_overflow(
+            &summary,
+            &[
+                ("n", |s| s.n = u64::MAX),
+                ("nan", |s| s.nan = u64::MAX),
+                ("sum", |s| s.sum.pos_inf = u64::MAX),
+                ("sum_sq", |s| s.sum_sq.pos_inf = u64::MAX),
+                ("sketch", |s| {
+                    s.sketch.zero += u64::MAX - s.sketch.count;
+                    s.sketch.count = u64::MAX;
+                }),
+            ],
+            StreamSummary::can_merge,
+            StreamSummary::merge,
+        );
+
+        // A count may reach `u64::MAX` exactly.
+        let mut full = summary.clone();
+        full.n = u64::MAX - summary.n;
+        assert!(full.can_merge(&summary));
+        full.merge(&summary);
+        assert_eq!(full.len(), u64::MAX);
     }
 
     #[test]

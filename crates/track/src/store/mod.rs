@@ -8,17 +8,21 @@
 //! with explicit torn-tail semantics, and a per-object span index over
 //! segments answering `location_at(object, t)` point queries in one
 //! hash probe plus at most two bounded segment reads. Each object's
-//! span is one flat list of the closed segments holding it, 4 bytes
-//! each, sorted by construction because segments close in order, and
-//! its newest observation in them; indexing a segment is one probe per
-//! observation, which lists the segment on the object's first one
-//! there. Each closed segment keeps the time key ([`index::time_key`])
-//! of its first record; appends are time-ordered, so those keys rise
-//! with the segments and a query is one `partition_point` over them.
-//! It also keeps its observation count, its highest zone and the time
-//! key of its newest observation, so a restart learns each object's
-//! estimate, the store's zones and which segments hold the newest time
-//! without reading the log again ([`ZoneHistoryStore::visit_latest`]).
+//! span is the list of the closed segments holding it, ascending by
+//! construction because segments close in order, and its newest
+//! observation in them. The list is a posting list of 64-byte blocks:
+//! each opens with an absolute segment id, followed by LEB128 gaps to
+//! the next ids, one byte each up to a gap of 127; indexing a segment
+//! is one probe per observation, which lists the segment on the
+//! object's first one there. Each closed segment keeps the time key
+//! ([`index::time_key`]) of its first record; appends are time-ordered,
+//! so those keys rise with the segments, and a query is one binary
+//! search over the first keys of a span's blocks that decodes at most
+//! two of them. Each closed segment also keeps its observation count,
+//! its highest zone and the time key of its newest observation, so a
+//! restart learns each object's estimate, the store's zones and which
+//! segments hold the newest time without reading the log again
+//! ([`ZoneHistoryStore::visit_latest`]).
 //! Replay streams the log one segment at a time
 //! ([`ZoneHistoryStore::visit_segments`]); every segment it reads is
 //! checked again, CRC and decode, exactly as recovery checked it.
@@ -256,13 +260,119 @@ impl ClosedSegment {
 /// A closed segment's index as a span lists it.
 type SegmentId = u32;
 
-const _: () = assert!(std::mem::size_of::<SegmentId>() == 4);
+const ID_BYTES: usize = std::mem::size_of::<SegmentId>();
+
+/// Bytes per block of a [`SegmentList`].
+const BLOCK: usize = 64;
+
+/// The closed segments holding one object, ascending, stored as an
+/// inverted index stores a posting list: in blocks of [`BLOCK`] bytes,
+/// each opening with an absolute id (`u32` LE) followed by the LEB128
+/// gaps to the next ids. Segments close in ascending order, so every
+/// gap is at least one and no byte of a gap is zero; zero bytes pad a
+/// block whose room a gap does not fit. Only the last block is short.
+/// A search binary-searches the blocks by their first ids and decodes
+/// at most two.
+#[derive(Debug)]
+struct SegmentList {
+    bytes: Vec<u8>,
+    /// The newest listed id, so that listing one more decodes nothing.
+    last: SegmentId,
+}
+
+impl SegmentList {
+    /// The answer for an object no closed segment holds.
+    const NONE: &'static SegmentList = &SegmentList {
+        bytes: Vec::new(),
+        last: 0,
+    };
+
+    fn new(first: SegmentId) -> Self {
+        Self {
+            bytes: first.to_le_bytes().to_vec(),
+            last: first,
+        }
+    }
+
+    /// Lists `id`, which is no older than every listed id, unless it is
+    /// the newest: one gap in the last block, or padding and a block
+    /// that opens with `id`.
+    fn push(&mut self, id: SegmentId) {
+        if id == self.last {
+            return;
+        }
+        let mut gap = id - self.last;
+        self.last = id;
+        let gap_bytes = (SegmentId::BITS - gap.leading_zeros()).div_ceil(7) as usize;
+        let end = self.bytes.len();
+        let room = end.next_multiple_of(BLOCK) - end;
+        if gap_bytes > room {
+            self.bytes.resize(end + room, 0);
+            self.bytes.extend_from_slice(&id.to_le_bytes());
+            return;
+        }
+        while gap >= 0x80 {
+            self.bytes.push(gap as u8 | 0x80);
+            gap >>= 7;
+        }
+        self.bytes.push(gap as u8);
+    }
+
+    /// Every listed id, ascending.
+    fn iter(&self) -> impl Iterator<Item = SegmentId> + '_ {
+        self.bytes.chunks(BLOCK).flat_map(block_ids)
+    }
+
+    /// The newest two listed ids that `starts_by` accepts, newest
+    /// first. `starts_by` must accept a prefix of the list: a binary
+    /// search over the blocks' first ids finds the last block it
+    /// accepts, and only that block and the one before are decoded.
+    fn newest_two(&self, starts_by: impl Fn(SegmentId) -> bool) -> impl Iterator<Item = SegmentId> {
+        let first = |block: usize| le_u32(&self.bytes[block * BLOCK..][..ID_BYTES]);
+        let (mut accepted, mut rejected) = (0, self.bytes.len().div_ceil(BLOCK));
+        while accepted < rejected {
+            let middle = (accepted + rejected) / 2;
+            if starts_by(first(middle)) {
+                accepted = middle + 1;
+            } else {
+                rejected = middle;
+            }
+        }
+        let decoded = accepted.saturating_sub(2) * BLOCK..(accepted * BLOCK).min(self.bytes.len());
+        let mut newest = [None; 2];
+        for id in self.bytes[decoded]
+            .chunks(BLOCK)
+            .flat_map(block_ids)
+            .take_while(|&id| starts_by(id))
+        {
+            newest = [Some(id), newest[0]];
+        }
+        newest.into_iter().flatten()
+    }
+}
+
+/// The ids one block of a [`SegmentList`] lists, ascending.
+fn block_ids(block: &[u8]) -> impl Iterator<Item = SegmentId> + '_ {
+    let (first, gaps) = block.split_at(ID_BYTES);
+    let mut id = le_u32(first);
+    let (mut gap, mut shift) = (0, 0);
+    let rest = gaps.iter().take_while(|&&byte| byte != 0);
+    std::iter::once(id).chain(rest.filter_map(move |&byte| {
+        gap |= SegmentId::from(byte & 0x7f) << shift;
+        if byte & 0x80 != 0 {
+            shift += 7;
+            return None;
+        }
+        id += gap;
+        (gap, shift) = (0, 0);
+        Some(id)
+    }))
+}
 
 /// One object's place in the closed segments.
 #[derive(Debug)]
 struct Span {
-    /// Every closed segment holding the object, ascending.
-    segments: Vec<SegmentId>,
+    segments: SegmentList,
     /// The object's newest observation in them.
     newest: ZoneObservation,
 }
@@ -280,10 +390,10 @@ struct ObjectTable {
 }
 
 impl ObjectTable {
-    /// The closed segments holding `object`, ascending.
-    fn segments(&self, object: usize) -> &[SegmentId] {
+    /// The closed segments holding `object`.
+    fn segments(&self, object: usize) -> &SegmentList {
         self.position(object)
-            .map_or(&[], |position| &self.spans[position].segments)
+            .map_or(SegmentList::NONE, |position| &self.spans[position].segments)
     }
 
     fn position(&self, object: usize) -> Option<usize> {
@@ -303,20 +413,19 @@ impl ObjectTable {
     fn observe(&mut self, index: SegmentId, observation: &ZoneObservation) {
         let position = self
             .position(observation.object.index())
-            .unwrap_or_else(|| self.insert(*observation));
+            .unwrap_or_else(|| self.insert(index, *observation));
         let span = &mut self.spans[position];
-        if span.segments.last() != Some(&index) {
-            span.segments.push(index);
-        }
+        span.segments.push(index);
         span.newest = *observation;
     }
 
-    /// Adds a span for a new object and returns its position, doubling
-    /// the slots (and placing every span again) past half full.
-    fn insert(&mut self, newest: ZoneObservation) -> usize {
+    /// Adds a span listing segment `index` for a new object and returns
+    /// its position, doubling the slots (and placing every span again)
+    /// past half full.
+    fn insert(&mut self, index: SegmentId, newest: ZoneObservation) -> usize {
         let added = self.spans.len();
         self.spans.push(Span {
-            segments: Vec::new(),
+            segments: SegmentList::new(index),
             newest,
         });
         let mut placed = added;
@@ -1025,11 +1134,12 @@ impl ZoneHistoryStore {
     /// The most recent observed `(zone, time_s)` for `object` at or
     /// before `at_s`: the store-backed point query. The in-memory tail
     /// answers first; otherwise one table probe finds the object's span,
-    /// whose binary search selects the newest listed segment that starts
-    /// at or before `at_s`. That segment may hold the object only after
-    /// `at_s`; every record of the segment listed before it is then at
-    /// or before `at_s`, so that one holds the answer. A query reads at
-    /// most two segments. `NaN` query times return `None`.
+    /// whose binary search over its blocks, decoding at most two of
+    /// them, selects the newest listed segment that starts at or before
+    /// `at_s`. That segment may hold the object only after `at_s`; every
+    /// record of the segment listed before it is then at or before
+    /// `at_s`, so that one holds the answer. A query reads at most two
+    /// segments. `NaN` query times return `None`.
     ///
     /// # Errors
     ///
@@ -1053,13 +1163,16 @@ impl ZoneHistoryStore {
                 return Ok(hit);
             }
         }
-        let span = self.objects.segments(object.index());
-        let starts_by_bound = span.partition_point(|&segment| {
+        let starts_by_bound = |segment: SegmentId| {
             self.closed
                 .get(segment as usize)
                 .is_some_and(|closed| closed.first_key <= bound)
-        });
-        for &segment in span[..starts_by_bound].iter().rev().take(2) {
+        };
+        for segment in self
+            .objects
+            .segments(object.index())
+            .newest_two(starts_by_bound)
+        {
             let hit = newest_at_or_before(&self.read_closed(segment)?, object, bound);
             if hit.is_some() {
                 return Ok(hit);
@@ -1077,7 +1190,7 @@ impl ZoneHistoryStore {
     /// segment can no longer be read back.
     pub fn history_of(&self, object: ObjectHandle) -> Result<Vec<ZoneObservation>, StoreError> {
         let mut out = Vec::new();
-        for &segment in self.objects.segments(object.index()) {
+        for segment in self.objects.segments(object.index()).iter() {
             out.extend(self.read_closed(segment)?.iter().filter_map(|r| match r {
                 Record::Observation(o) if o.object == object => Some(*o),
                 _ => None,
@@ -1206,6 +1319,134 @@ fn write_header(file: &mut File, path: &Path, index: u32, base_seq: u64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `ids` listed one by one into a [`SegmentList`].
+    fn listed(ids: &[SegmentId]) -> SegmentList {
+        let mut list = SegmentList::new(ids[0]);
+        for &id in &ids[1..] {
+            list.push(id);
+        }
+        list
+    }
+
+    /// Checks that `list` holds exactly `ids` without repeats, that
+    /// every block opens on its first id, absolute, at a multiple of
+    /// [`BLOCK`], and that a block is padded only when the gap to the
+    /// next block's first id does not fit its room.
+    fn check_layout(list: &SegmentList, ids: &[SegmentId]) -> Result<(), TestCaseError> {
+        let mut expected = ids.to_vec();
+        expected.dedup();
+        prop_assert_eq!(list.iter().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(list.last, expected[expected.len() - 1]);
+        let mut position = 0;
+        for (block, bytes) in list.bytes.chunks(BLOCK).enumerate() {
+            prop_assert_eq!(
+                le_u32(&bytes[..ID_BYTES]),
+                expected[position],
+                "block {}",
+                block
+            );
+            position += block_ids(bytes).count();
+            if let Some(&next) = expected.get(position) {
+                let gap = next - expected[position - 1];
+                let padding = bytes.iter().rev().take_while(|&&byte| byte == 0).count();
+                let gap_bytes = (SegmentId::BITS - gap.leading_zeros()).div_ceil(7) as usize;
+                prop_assert!(
+                    padding < gap_bytes,
+                    "block {} padded past a fitting gap",
+                    block
+                );
+            }
+        }
+        prop_assert_eq!(position, expected.len());
+        Ok(())
+    }
+
+    /// Checks `newest_two` for every threshold at and beside each id,
+    /// against the listed ids, and counts the ids it tests: the binary
+    /// search's plus at most two blocks' worth.
+    fn check_newest_two(list: &SegmentList, ids: &[SegmentId]) -> Result<(), TestCaseError> {
+        let mut listed = ids.to_vec();
+        listed.dedup();
+        let blocks = list.bytes.len().div_ceil(BLOCK);
+        let most_tests = blocks.ilog2() as usize + 2 + 2 * (1 + BLOCK - ID_BYTES);
+        for threshold in ids
+            .iter()
+            .flat_map(|&id| [id.saturating_sub(1), id, id.saturating_add(1)])
+        {
+            let tests = std::cell::Cell::new(0);
+            let newest = list
+                .newest_two(|id| {
+                    tests.set(tests.get() + 1);
+                    id <= threshold
+                })
+                .collect::<Vec<_>>();
+            let accepted = listed.partition_point(|&id| id <= threshold);
+            let expected = listed[..accepted]
+                .iter()
+                .rev()
+                .take(2)
+                .copied()
+                .collect::<Vec<_>>();
+            prop_assert_eq!(newest, expected, "threshold {}", threshold);
+            prop_assert!(tests.get() <= most_tests, "{} ids tested", tests.get());
+        }
+        Ok(())
+    }
+
+    /// Ascending ids as segments close: runs of consecutive ids, repeats
+    /// of the newest, and gaps of every LEB128 width up to the whole
+    /// `u32` range (a gap that would pass `u32::MAX` is left out).
+    fn ascending_ids() -> impl Strategy<Value = Vec<SegmentId>> {
+        let gap = prop_oneof![
+            Just(0u32),
+            Just(1u32),
+            Just(1u32),
+            Just(1u32),
+            2u32..128,
+            128u32..1 << 14,
+            1u32 << 14..1 << 21,
+            1u32 << 21..1 << 28,
+            1u32 << 28..=u32::MAX,
+        ];
+        let first = prop_oneof![Just(0u32), 0u32..1_000, any::<u32>(), Just(u32::MAX)];
+        (first, proptest::collection::vec(gap, 0..400)).prop_map(|(first, gaps)| {
+            let mut ids = vec![first];
+            for gap in gaps {
+                let newest = ids[ids.len() - 1];
+                ids.extend(newest.checked_add(gap));
+            }
+            ids
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn segment_lists_round_trip_in_blocks(ids in ascending_ids()) {
+            let list = listed(&ids);
+            check_layout(&list, &ids)?;
+            check_newest_two(&list, &ids)?;
+        }
+    }
+
+    /// The widest gaps, the ends of the id range, and a long list whose
+    /// search must not decode it all.
+    #[test]
+    fn segment_lists_keep_extreme_and_long_lists() {
+        let long: Vec<SegmentId> = (0..10_000).map(|i| i * 3 / 2).collect();
+        for ids in [
+            vec![0, u32::MAX],
+            vec![u32::MAX, u32::MAX],
+            vec![0, 1 << 28, u32::MAX - 1, u32::MAX],
+            vec![7; 3],
+            long,
+        ] {
+            let list = listed(&ids);
+            check_layout(&list, &ids).expect("layout");
+            check_newest_two(&list, &ids).expect("newest two");
+        }
+    }
 
     fn observation(object: usize, zone: usize, time_s: f64) -> Record {
         Record::Observation(ZoneObservation {
@@ -1319,13 +1560,73 @@ mod tests {
                 .expect("append");
         }
         assert_eq!(store.segment_count(), 4);
-        assert_eq!(store.objects.segments(0), [0, 2]);
-        assert_eq!(store.objects.segments(1), [1, 2]);
+        assert_eq!(store.objects.segments(0).iter().collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(store.objects.segments(1).iter().collect::<Vec<_>>(), [1, 2]);
         assert_eq!(store.location_at(case, 6.0).expect("q"), Some((1, 2.0)));
         assert_eq!(store.location_at(case, 7.0).expect("q"), Some((3, 7.0)));
         assert_eq!(store.location_at(case, 9.0).expect("q"), Some((2, 8.0)));
         assert_eq!(store.location_at(other, 4.5).expect("q"), Some((2, 4.0)));
         assert_eq!(store.location_at(case, 0.5).expect("q"), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Spans whose gaps are 1, 2, 3 and 150 segments, many blocks long:
+    /// over 1,200 one-record segments, two records to a second, object 0
+    /// stands in two of every three segments, object 1 in every third,
+    /// object 2 in every 150th and object 3 in the last alone. Every
+    /// half-second point query and every history answers as the fed
+    /// history does, on the writing store and on a reopen.
+    #[test]
+    fn sparse_and_dense_spans_answer_as_the_fed_history() {
+        let dir = temp_dir("spans");
+        let config = StoreConfig {
+            records_per_segment: 1,
+        };
+        let segments = 1_200;
+        let object_of = |i: usize| match i {
+            _ if i == segments - 1 => 3,
+            _ if i.is_multiple_of(3) => 1,
+            _ if i % 150 == 1 => 2,
+            _ => 0,
+        };
+        let fed: Vec<ZoneObservation> = (0..segments)
+            .map(|i| ZoneObservation {
+                object: ObjectHandle::from_index(object_of(i)),
+                zone: i % 5,
+                time_s: (i / 2) as f64,
+                inferred: false,
+            })
+            .collect();
+        let mut store = ZoneHistoryStore::open(&dir, config).expect("open");
+        for observation in &fed {
+            store
+                .append(&Record::Observation(*observation))
+                .expect("append");
+        }
+        assert_eq!(store.segment_count(), segments);
+        let reopened = ZoneHistoryStore::open(&dir, config).expect("reopen");
+        for store in [&store, &reopened] {
+            for object in (0..5).map(ObjectHandle::from_index) {
+                let history = fed.iter().filter(|o| o.object == object);
+                assert_eq!(
+                    store.history_of(object).expect("history"),
+                    history.clone().copied().collect::<Vec<_>>()
+                );
+                for half_seconds in -1..=segments as i32 {
+                    let at_s = f64::from(half_seconds) / 2.0;
+                    let expected = history
+                        .clone()
+                        .rfind(|o| o.time_s <= at_s)
+                        .map(|o| (o.zone, o.time_s));
+                    assert_eq!(
+                        store.location_at(object, at_s).expect("q"),
+                        expected,
+                        "object {} at {at_s}",
+                        object.index()
+                    );
+                }
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

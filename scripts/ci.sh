@@ -33,12 +33,20 @@ cargo test --workspace -q
 # A decoder's overflow check must hold without the debug panic, and a
 # tracker history shifts and rebases its run positions and packs its
 # zone keys with plain integer arithmetic, where a slip would wrap
-# silently; only a release run tests the code that ships. The run
-# includes `history_bytes.rs`, the counting-allocator bounds on tracker
-# heap, as the workspace run above does. These tests drive the store's
-# threaded in-order segment reader, so `timeout` fails the gate on a
-# deadlocked reader instead of hanging it.
+# silently. So does the store's span list: a segment's gap to the one
+# listed before it is a plain `u32` subtraction, positive only because
+# segments close in ascending order. Only a release run tests the code
+# that ships. The run includes `history_bytes.rs` and
+# `store_index_bytes.rs`, the counting-allocator bounds on tracker and
+# span-index heap, as the workspace run above does. These tests drive
+# the store's threaded in-order segment reader, so `timeout` fails the
+# gate on a deadlocked reader instead of hanging it.
 timeout 300 cargo test --release -q -p rfid-track -p rfid-site-server -p rfid-stats
+# The campaign's overflow tests under the release profile too: a
+# checkpoint's counts are merged on resume, and before the merges were
+# checked a count at `u64::MAX` panicked only a debug build and wrapped
+# to a small number in release.
+timeout 300 cargo test --release -q -p rfid-experiments --lib overflow
 
 # Drive the runnable demos end-to-end under a wall-clock budget:
 # `quickstart` is the front-door experience, and `reader_emulation`
