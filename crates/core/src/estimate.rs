@@ -39,28 +39,16 @@ impl ReliabilityEstimate {
         Ok(Self { successes, trials })
     }
 
-    /// Builds an estimate by running `trials` Bernoulli trials of `f`,
-    /// passing each trial's index as a seed.
+    /// Builds an estimate by running `trials` Bernoulli trials of `f` on
+    /// the executor's threads, passing each trial's index as a seed. Trial
+    /// `i` receives seed `i` on any thread, so the estimate is the same
+    /// for any thread count, and the count is folded block-wise, so
+    /// memory stays O(1) in `trials`.
     ///
     /// # Panics
     ///
     /// Panics if `trials == 0`.
-    pub fn from_trials<F: FnMut(u64) -> bool>(trials: u64, mut f: F) -> Self {
-        assert!(trials > 0, "at least one trial is required");
-        let successes = (0..trials).filter(|&i| f(i)).count() as u64;
-        Self { successes, trials }
-    }
-
-    /// [`ReliabilityEstimate::from_trials`] fanned across the executor's
-    /// threads. Trial `i` still receives seed `i`, so the estimate is
-    /// identical to the serial path for any thread count — and the count
-    /// is folded block-wise, so memory stays O(1) in `trials` instead of
-    /// materializing a per-trial vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0`.
-    pub fn from_trials_par<F>(executor: &rfid_sim::TrialExecutor, trials: u64, f: F) -> Self
+    pub fn from_trials<F>(executor: &rfid_sim::TrialExecutor, trials: u64, f: F) -> Self
     where
         F: Fn(u64) -> bool + Sync,
     {
@@ -188,7 +176,9 @@ mod tests {
 
     #[test]
     fn from_trials_counts_successes() {
-        let est = ReliabilityEstimate::from_trials(10, |i| i % 2 == 0);
+        let est = ReliabilityEstimate::from_trials(&rfid_sim::TrialExecutor::serial(), 10, |i| {
+            i % 2 == 0
+        });
         assert_eq!(est.successes(), 5);
         assert_eq!(est.trials(), 10);
         assert_eq!(est.point().value(), 0.5);
@@ -196,12 +186,15 @@ mod tests {
 
     #[test]
     fn trials_receive_distinct_seeds() {
-        let mut seen = Vec::new();
-        let _ = ReliabilityEstimate::from_trials(5, |i| {
-            seen.push(i);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let _ = ReliabilityEstimate::from_trials(&rfid_sim::TrialExecutor::serial(), 5, |i| {
+            seen.lock().expect("no trial panicked").push(i);
             true
         });
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            seen.into_inner().expect("no trial panicked"),
+            vec![0, 1, 2, 3, 4]
+        );
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   (the paper's Table 1 guidance),
 //! * [`min_safe_spacing`] — the minimum inter-tag distance from a measured
 //!   spacing-reliability curve (the paper's Figure 4 guidance),
-//! * [`tracking_outcome`] and friends — bridge helpers that turn raw
-//!   simulator output into object/person tracking outcomes.
+//! * [`tracking_outcome`] and [`estimate_over_trials`] — bridge helpers
+//!   that turn raw simulator output into tracking outcomes, and repeated
+//!   trials into an estimate.
 //!
 //! # Examples
 //!
@@ -63,6 +64,4 @@ pub use planner::{
 };
 pub use probability::{Probability, ProbabilityError};
 pub use spacing::min_safe_spacing;
-pub use tracking::{
-    antenna_opportunity_outcome, estimate_over_trials, estimate_reliability_par, tracking_outcome,
-};
+pub use tracking::{estimate_over_trials, tracking_outcome};

@@ -6,7 +6,7 @@
 //! apply those definitions to a [`SimOutput`].
 
 use crate::ReliabilityEstimate;
-use rfid_sim::{Scenario, SimOutput};
+use rfid_sim::{Scenario, SimOutput, TrialExecutor};
 
 /// Whether the system tracked an object: at least one of `object_tags`
 /// (world tag indices) was read by any reader/antenna.
@@ -24,54 +24,18 @@ pub fn tracking_outcome(output: &SimOutput, object_tags: &[usize]) -> bool {
     object_tags.iter().any(|&tag| output.tag_was_read(tag))
 }
 
-/// Whether a specific read opportunity succeeded: tag `tag` read by
-/// antenna (`reader`, `antenna`).
-///
-/// Measuring these per-opportunity outcomes is how the paper obtains the
-/// `P_i` values it feeds into the analytical model.
-#[must_use]
-pub fn antenna_opportunity_outcome(
-    output: &SimOutput,
-    tag: usize,
-    reader: usize,
-    antenna: usize,
-) -> bool {
-    output.tag_was_read_by(tag, reader, antenna)
-}
-
 /// Runs `trials` independent simulations of `scenario` (seeds
-/// `seed0, seed0+1, ...`) and estimates the probability that `outcome`
-/// holds — the generic engine behind every R_M in the reproduction.
+/// `seed0, seed0+1, ...`) on the executor's threads, with one
+/// [`rfid_sim::ScenarioCache`] shared by every trial, and estimates the
+/// probability that `outcome` holds: the generic engine behind an R_M.
+/// Results are identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0` or the scenario is invalid.
 #[must_use]
 pub fn estimate_over_trials<F>(
-    scenario: &Scenario,
-    trials: u64,
-    seed0: u64,
-    mut outcome: F,
-) -> ReliabilityEstimate
-where
-    F: FnMut(&SimOutput) -> bool,
-{
-    ReliabilityEstimate::from_trials(trials, |i| {
-        let output = rfid_sim::run_scenario(scenario, seed0.wrapping_add(i));
-        outcome(&output)
-    })
-}
-
-/// [`estimate_over_trials`] fanned across the executor's threads, with
-/// one [`rfid_sim::ScenarioCache`] shared by every trial. Seeds and
-/// results are identical to the serial path for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0` or the scenario is invalid.
-#[must_use]
-pub fn estimate_reliability_par<F>(
-    executor: &rfid_sim::TrialExecutor,
+    executor: &TrialExecutor,
     scenario: &Scenario,
     trials: u64,
     seed0: u64,
@@ -81,7 +45,7 @@ where
     F: Fn(&SimOutput) -> bool + Sync,
 {
     let cache = rfid_sim::ScenarioCache::new(scenario);
-    ReliabilityEstimate::from_trials_par(executor, trials, |i| {
+    ReliabilityEstimate::from_trials(executor, trials, |i| {
         let output = rfid_sim::run_scenario_with(scenario, &cache, seed0.wrapping_add(i));
         outcome(&output)
     })
@@ -129,35 +93,30 @@ mod tests {
     }
 
     #[test]
-    fn opportunity_outcomes_are_per_antenna() {
-        let output = rfid_sim::run_scenario(&two_tag_pass(), 5);
-        assert_eq!(
-            antenna_opportunity_outcome(&output, 0, 0, 0),
-            output.tag_was_read_by(0, 0, 0)
-        );
-        assert!(!antenna_opportunity_outcome(&output, 1, 0, 0));
-    }
-
-    #[test]
     fn estimation_over_trials_is_deterministic_and_sane() {
         let scenario = two_tag_pass();
-        let est_a = estimate_over_trials(&scenario, 10, 100, |o| tracking_outcome(o, &[0]));
-        let est_b = estimate_over_trials(&scenario, 10, 100, |o| tracking_outcome(o, &[0]));
+        let executor = TrialExecutor::serial();
+        let estimate = |tags: &[usize]| {
+            estimate_over_trials(&executor, &scenario, 10, 100, |o| tracking_outcome(o, tags))
+        };
+        let est_a = estimate(&[0]);
+        let est_b = estimate(&[0]);
         assert_eq!(est_a, est_b);
         assert!(est_a.point().value() > 0.5, "close pass should mostly read");
-        let miss = estimate_over_trials(&scenario, 10, 100, |o| tracking_outcome(o, &[1]));
+        let miss = estimate(&[1]);
         assert_eq!(miss.point().value(), 0.0);
     }
 
     #[test]
     fn parallel_estimation_matches_serial_for_any_thread_count() {
         let scenario = two_tag_pass();
-        let serial = estimate_over_trials(&scenario, 10, 100, |o| tracking_outcome(o, &[0]));
+        let serial = estimate_over_trials(&TrialExecutor::serial(), &scenario, 10, 100, |o| {
+            tracking_outcome(o, &[0])
+        });
         for threads in [1, 2, 5] {
-            let executor = rfid_sim::TrialExecutor::with_threads(threads);
-            let parallel = estimate_reliability_par(&executor, &scenario, 10, 100, |o| {
-                tracking_outcome(o, &[0])
-            });
+            let executor = TrialExecutor::with_threads(threads);
+            let parallel =
+                estimate_over_trials(&executor, &scenario, 10, 100, |o| tracking_outcome(o, &[0]));
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }

@@ -3,39 +3,47 @@
 //!
 //! ```text
 //! repro [EXPERIMENT] [--trials N] [--seed S]
-//!
-//! EXPERIMENT: fig2 | fig4 | table1 | table2 | table3 | table4 | table5 |
-//!             fig6 | fig7 | readers | readrate | spacing | tagdesign |
-//!             ablation | sensitivity | speed | power | all (default)
-//! --trials N  trials for every experiment, in place of each one's own count
-//!             (by default the paper's repetitions)
-//! --seed S    master seed (default 2007)
 //! ```
+//!
+//! The experiments are those of
+//! [`rfid_experiments::experiments::EXPERIMENTS`], and `repro --help`
+//! names them. `all`, the default, runs every one.
 //!
 //! The process exits non-zero if any executed experiment's shape check is
 //! violated, so `repro all` doubles as the reproduction's CI gate.
 
-use rfid_experiments::experiments::{
-    ablation, fig2, fig4, figs67, power, readers, readrate, sensitivity, spacing_advice, speed,
-    table1, table2, table3, table45, tagdesign,
-};
+use rfid_experiments::experiments::{names, select, Context, Experiment};
 use rfid_experiments::report::counters_line;
 use rfid_experiments::Calibration;
 use rfid_sim::TrialExecutor;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-struct Options {
-    which: String,
-    trials: Option<u64>,
-    seed: u64,
+enum Command {
+    Help,
+    Run {
+        experiments: Vec<&'static Experiment>,
+        trials: Option<u64>,
+        seed: u64,
+    },
 }
 
-fn parse_args() -> Result<Options, String> {
+fn usage() -> String {
+    format!(
+        "usage: repro [EXPERIMENT] [--trials N] [--seed S]\n\
+         \x20 EXPERIMENT  one of {}, or all (the default)\n\
+         \x20 --trials N  trials for every experiment, in place of each one's own count\n\
+         \x20             (by default the paper's repetitions)\n\
+         \x20 --seed S    master seed (default 2007)\n",
+        names().collect::<Vec<_>>().join(" ")
+    )
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut which = "all".to_owned();
     let mut trials = None;
     let mut seed = 2007;
-    // audit:allow(process-env, reason = "CLI argument parsing selects which experiment runs; seeds and trial counts stay explicit")
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trials" => {
@@ -50,165 +58,120 @@ fn parse_args() -> Result<Options, String> {
                 let value = args.next().ok_or("--seed needs a value")?;
                 seed = value.parse().map_err(|_| "invalid --seed value")?;
             }
-            "--help" | "-h" => {
-                return Err("usage: repro [EXPERIMENT] [--trials N] [--seed S]".to_owned())
-            }
+            "--help" | "-h" => return Ok(Command::Help),
             name if !name.starts_with('-') => which = name.to_owned(),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok(Options {
-        which,
+    let experiments = select(&which).ok_or_else(|| {
+        format!(
+            "unknown experiment {which:?}; expected one of {} all",
+            names().collect::<Vec<_>>().join(" ")
+        )
+    })?;
+    Ok(Command::Run {
+        experiments,
         trials,
         seed,
     })
 }
 
-/// Tracks executed experiments and their shape-check outcomes.
-#[derive(Default)]
-struct Scorecard {
-    entries: Vec<(&'static str, bool)>,
+/// The scorecard line: how many executed shape checks held, and the
+/// label of each that did not.
+fn summary(scorecard: &[(&str, bool)]) -> String {
+    let holding = scorecard.iter().filter(|(_, holds)| *holds).count();
+    let mut out = format!("shape checks: {holding}/{} HOLD", scorecard.len());
+    for (label, holds) in scorecard {
+        if !holds {
+            out.push_str(&format!("\n  VIOLATED: {label}"));
+        }
+    }
+    out
 }
 
-impl Scorecard {
-    fn record(&mut self, name: &'static str, holds: bool) {
-        self.entries.push((name, holds));
-    }
+/// Runs `experiments` and prints their reports; returns whether every
+/// shape check held.
+fn run(
+    out: &mut impl Write,
+    experiments: &[&Experiment],
+    trials: Option<u64>,
+    seed: u64,
+) -> io::Result<bool> {
+    let cal = Calibration::default();
+    cal.assert_plausible();
+    let executor = TrialExecutor::new();
+    writeln!(
+        out,
+        "calibration: {} [{} sim thread{}]\n",
+        cal.describe(),
+        executor.threads(),
+        if executor.threads() == 1 { "" } else { "s" }
+    )?;
 
-    fn all_hold(&self) -> bool {
-        self.entries.iter().all(|(_, holds)| *holds)
+    let mut context = Context::new(&cal, seed, &executor);
+    let mut scorecard = Vec::new();
+    rfid_sim::counters::reset();
+    for experiment in experiments {
+        let outcome = (experiment.run)(&mut context, trials.unwrap_or(experiment.paper_trials));
+        scorecard.push((experiment.label, outcome.holds));
+        writeln!(out, "{}", outcome.text)?;
     }
-
-    fn summary(&self) -> String {
-        let holding = self.entries.iter().filter(|(_, holds)| *holds).count();
-        let mut out = format!("shape checks: {holding}/{} HOLD", self.entries.len());
-        for (name, holds) in &self.entries {
-            if !holds {
-                out.push_str(&format!("\n  VIOLATED: {name}"));
-            }
-        }
-        out
-    }
+    writeln!(out, "{}", counters_line(&rfid_sim::counters::snapshot()))?;
+    writeln!(out, "{}", summary(&scorecard))?;
+    Ok(scorecard.iter().all(|(_, holds)| *holds))
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
+    // audit:allow(process-env, reason = "CLI argument parsing selects which experiment runs; seeds and trial counts stay explicit")
+    let command = match parse_args(std::env::args().skip(1)) {
+        Ok(command) => command,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    let cal = Calibration::default();
-    cal.assert_plausible();
-    let executor = TrialExecutor::new();
-    println!(
-        "calibration: {} [{} sim thread{}]\n",
-        cal.describe(),
-        executor.threads(),
-        if executor.threads() == 1 { "" } else { "s" }
-    );
-
-    let run = |name: &str| options.which == name || options.which == "all";
-    let trials = |paper_default: u64| options.trials.unwrap_or(paper_default);
-    let seed = options.seed;
-    let mut scorecard = Scorecard::default();
-    rfid_sim::counters::reset();
-
-    if run("fig2") {
-        let result = fig2::run_with(&cal, trials(40), seed, &executor);
-        scorecard.record("fig2", result.shape_holds());
-        println!("{}", fig2::render(&result));
-    }
-    if run("fig4") {
-        let result = fig4::run_with(&cal, trials(10), seed, &executor);
-        scorecard.record("fig4", result.shape_holds());
-        println!("{}", fig4::render(&result));
-    }
-    if run("table1") {
-        let result = table1::run_with(&cal, trials(12), seed, &executor);
-        scorecard.record("table1", result.shape_holds());
-        println!("{}", table1::render(&result));
-    }
-    if run("table2") {
-        let result = table2::run(&cal, trials(20), seed);
-        scorecard.record("table2", result.shape_holds());
-        println!("{}", table2::render(&result));
-    }
-    if run("table3") {
-        let result = table3::run(&cal, trials(12), seed);
-        scorecard.record("table3+fig5", result.shape_holds());
-        println!("{}", table3::render(&result));
-    }
-    if run("table4") || run("table5") || run("fig6") || run("fig7") {
-        let t45 = table45::run(&cal, trials(20), seed);
-        if run("table4") || run("table5") {
-            scorecard.record("table4+table5", t45.shape_holds());
-            println!("{}", table45::render(&t45));
-        }
-        if run("fig6") || run("fig7") {
-            let t2 = table2::run(&cal, trials(20), seed.wrapping_add(1));
-            let fig6 = figs67::figure6_bars(&t2, &t45);
-            scorecard.record("fig6+fig7", figs67::shape_holds(&fig6));
-            println!("{}", figs67::render(&t2, &t45));
+    let mut out = io::stdout().lock();
+    let result = match command {
+        Command::Help => out.write_all(usage().as_bytes()).map(|()| true),
+        Command::Run {
+            experiments,
+            trials,
+            seed,
+        } => run(&mut out, &experiments, trials, seed),
+    };
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(err) => {
+            eprintln!("repro: cannot write the report: {err}");
+            ExitCode::FAILURE
         }
     }
-    if run("readers") {
-        let result = readers::run_with(&cal, trials(12), seed, &executor);
-        scorecard.record("readers", result.shape_holds());
-        println!("{}", readers::render(&result));
-    }
-    if run("readrate") {
-        let result = readrate::run(&cal, trials(10), seed);
-        scorecard.record("readrate", result.shape_holds());
-        println!("{}", readrate::render(&result));
-    }
-    if run("spacing") {
-        let result = spacing_advice::run(&cal, trials(10), seed);
-        scorecard.record("spacing", result.shape_holds());
-        println!("{}", spacing_advice::render(&result));
-    }
-    if run("tagdesign") {
-        let result = tagdesign::run(&cal, trials(12), seed);
-        scorecard.record("tagdesign", result.shape_holds());
-        println!("{}", tagdesign::render(&result));
-    }
-    if run("ablation") {
-        let result = ablation::run(&cal, trials(8), seed);
-        scorecard.record("ablation", result.shape_holds());
-        println!("{}", ablation::render(&result));
-    }
-    if run("sensitivity") {
-        let result = sensitivity::run(&cal, trials(8), seed);
-        scorecard.record("sensitivity", result.shape_holds());
-        println!("{}", sensitivity::render(&result));
-    }
-    if run("speed") {
-        let result = speed::run_with(&cal, trials(12), seed, &executor);
-        scorecard.record("speed", result.shape_holds());
-        println!("{}", speed::render(&result));
-    }
-    if run("power") {
-        let result = power::run_with(&cal, trials(20), seed, &executor);
-        scorecard.record("power", result.shape_holds());
-        println!("{}", power::render(&result));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(args.iter().map(|&arg| arg.to_owned()))
     }
 
-    if scorecard.entries.is_empty() {
-        eprintln!(
-            "unknown experiment {:?}; expected one of fig2 fig4 table1 table2 \
-             table3 table4 table5 fig6 fig7 readers readrate spacing \
-             tagdesign ablation sensitivity speed power all",
-            options.which
+    #[test]
+    fn usage_and_unknown_name_list_every_name() {
+        assert!(matches!(parse(&["bogus", "--help"]), Ok(Command::Help)));
+        assert!(
+            matches!(parse(&[]), Ok(Command::Run { experiments, .. }) if experiments.len() == 15)
         );
-        return ExitCode::FAILURE;
-    }
-
-    println!("{}", counters_line(&rfid_sim::counters::snapshot()));
-    println!("{}", scorecard.summary());
-    if scorecard.all_hold() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+        let usage = usage();
+        let Err(unknown) = parse(&["fig5"]) else {
+            panic!("fig5 is not an experiment name");
+        };
+        assert!(unknown.starts_with("unknown experiment \"fig5\"; expected one of "));
+        for name in names().chain(["all"]) {
+            let word = |text: &str| text.split([' ', '\n', ',']).any(|w| w == name);
+            assert!(word(&usage), "usage omits {name}: {usage}");
+            assert!(word(&unknown), "message omits {name}: {unknown}");
+        }
     }
 }

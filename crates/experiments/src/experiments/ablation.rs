@@ -7,7 +7,7 @@
 //! row bad, occlusion makes the far side bad, and fading/shadowing
 //! spread the rest.
 
-use crate::report::percent;
+use crate::report::{percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
 use rfid_core::tracking_outcome;
@@ -123,7 +123,7 @@ impl AblationResult {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> AblationResult {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> AblationResult {
     assert!(trials > 0, "at least one trial is required");
     let rows = Mechanism::ALL
         .iter()
@@ -133,7 +133,7 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64) -> AblationResult {
                 let (mut scenario, box_tags) =
                     object_pass_scenario(cal, &ObjectPassConfig::single(face));
                 mechanism.apply(&mut scenario);
-                let hits = TrialExecutor::new().run_scenario_fold(
+                let hits = executor.run_scenario_fold(
                     &scenario,
                     trials,
                     seed,
@@ -175,14 +175,9 @@ pub fn render(result: &AblationResult) -> String {
     format!(
         "Mechanism ablations on the Table 1 workload ({} passes per cell)\n{table}\
          attribution: Top is a *mounting* effect, the far side is an *occlusion* \
-         effect, fading spreads everything\n\
-         shape check (each mechanism owns its finding): {}\n",
+         effect, fading spreads everything\n{}",
         result.trials,
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+        shape_check_line("each mechanism owns its finding", result.shape_holds())
     )
 }
 
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn mechanisms_own_their_findings() {
-        let result = run(&Calibration::default(), 4, 17);
+        let result = run(&Calibration::default(), 4, 17, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:#?}",
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn full_model_row_matches_table1_magnitudes() {
-        let result = run(&Calibration::default(), 4, 17);
+        let result = run(&Calibration::default(), 4, 17, &TrialExecutor::serial());
         let front = result.reliability(Mechanism::Full, BoxFace::Front).unwrap();
         let top = result.reliability(Mechanism::Full, BoxFace::Top).unwrap();
         assert!(front > 0.6 && top < 0.5);
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn render_emits_the_matrix() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&result);
         for mechanism in Mechanism::ALL {
             assert!(text.contains(mechanism.label()));

@@ -1,6 +1,6 @@
 //! Figure 2: read reliability vs. tag-antenna distance.
 
-use crate::report::paper_vs_measured;
+use crate::report::{paper_vs_measured, shape_check_line};
 use crate::scenarios::read_range_scenario;
 use crate::Calibration;
 use rfid_sim::TrialExecutor;
@@ -41,23 +41,14 @@ impl Fig2Result {
 }
 
 /// Runs the sweep: `trials` single reads per distance (the paper used 40).
+/// Trial `i` has seed `seed.wrapping_add(i)`, so results are identical
+/// for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Fig2Result {
-    run_with(cal, trials, seed, &TrialExecutor::new())
-}
-
-/// [`run`] on an explicit executor. Trial `i` keeps seed
-/// `seed.wrapping_add(i)`, so results are identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-#[must_use]
-pub fn run_with(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Fig2Result {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Fig2Result {
     assert!(trials > 0, "at least one trial is required");
     let rows = DISTANCES_M
         .iter()
@@ -119,13 +110,9 @@ pub fn render(result: &Fig2Result) -> String {
         ),
         &rows,
     );
-    out.push_str(&format!(
-        "shape check (full at 1 m, monotone decline, low at 9 m): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "full at 1 m, monotone decline, low at 9 m",
+        result.shape_holds(),
     ));
     out
 }
@@ -147,7 +134,7 @@ mod tests {
 
     #[test]
     fn shape_holds_at_modest_trials() {
-        let result = run(&Calibration::default(), 8, 1);
+        let result = run(&Calibration::default(), 8, 1, &TrialExecutor::serial());
         assert_eq!(result.rows.len(), 9);
         assert!(
             result.shape_holds(),
@@ -162,7 +149,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_distance() {
-        let result = run(&Calibration::default(), 3, 2);
+        let result = run(&Calibration::default(), 3, 2, &TrialExecutor::serial());
         let text = render(&result);
         for d in 1..=9 {
             assert!(text.contains(&format!("{d} m")), "{text}");
@@ -172,8 +159,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run(&Calibration::default(), 3, 7);
-        let b = run(&Calibration::default(), 3, 7);
+        let a = run(&Calibration::default(), 3, 7, &TrialExecutor::serial());
+        let b = run(&Calibration::default(), 3, 7, &TrialExecutor::serial());
         assert_eq!(a, b);
     }
 }

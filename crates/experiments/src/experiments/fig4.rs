@@ -1,5 +1,6 @@
 //! Figure 4: tag orientation x inter-tag distance.
 
+use crate::report::shape_check_line;
 use crate::scenarios::{spacing_scenario, OrientationCase, TAG_COUNT};
 use crate::Calibration;
 use rfid_sim::{run_scenario_with, ScenarioCache, TrialExecutor};
@@ -65,23 +66,14 @@ impl Fig4Result {
 }
 
 /// Runs the grid: `trials` passes per cell (the paper used at least 10).
+/// A trial's seed depends on its cell and index only, so results are
+/// identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Fig4Result {
-    run_with(cal, trials, seed, &TrialExecutor::new())
-}
-
-/// [`run`] on an explicit executor. The per-trial seed formula is
-/// unchanged, so results are identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-#[must_use]
-pub fn run_with(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Fig4Result {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Fig4Result {
     assert!(trials > 0, "at least one trial is required");
     let mut cells = Vec::with_capacity(30);
     for (oi, &orientation) in OrientationCase::ALL.iter().enumerate() {
@@ -147,14 +139,9 @@ pub fn render(result: &Fig4Result) -> String {
         "Figure 4 — mean tags read of {TAG_COUNT}, orientation x spacing \
          ({} passes per cell)\n\
          paper: tags need at least 20-40 mm spacing; end-on orientations \
-         (1, 5) are least reliable\n{table}\
-         shape check (spacing threshold + end-on worst): {}\n",
+         (1, 5) are least reliable\n{table}{}",
         result.trials,
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+        shape_check_line("spacing threshold + end-on worst", result.shape_holds())
     )
 }
 
@@ -164,7 +151,7 @@ mod tests {
 
     #[test]
     fn grid_covers_all_cells() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         assert_eq!(result.cells.len(), 30);
         assert!(result.mean(OrientationCase::Case1, 0.0003).is_some());
         assert!(result.mean(OrientationCase::Case6, 0.040).is_some());
@@ -172,13 +159,13 @@ mod tests {
 
     #[test]
     fn shape_holds_at_modest_trials() {
-        let result = run(&Calibration::default(), 6, 1);
+        let result = run(&Calibration::default(), 6, 1, &TrialExecutor::serial());
         assert!(result.shape_holds());
     }
 
     #[test]
     fn render_contains_the_matrix() {
-        let result = run(&Calibration::default(), 2, 5);
+        let result = run(&Calibration::default(), 2, 5, &TrialExecutor::serial());
         let text = render(&result);
         assert!(text.contains("40 mm"));
         assert!(text.contains("end-on"));

@@ -7,6 +7,7 @@
 
 use crate::experiments::table2::Table2Result;
 use crate::experiments::table45::{Table45Result, TagSet};
+use crate::report::shape_check_line;
 use rfid_stats::BarChart;
 
 /// One bar group of the figures.
@@ -111,13 +112,9 @@ pub fn render(table2: &Table2Result, table45: &Table45Result) -> String {
         "Figure 7 — tracking of two subjects (paper: ~56% baseline rising to ~100%)",
         &fig7,
     ));
-    out.push_str(&format!(
-        "shape check (redundancy raises tracking toward 100%): {}\n",
-        if shape_holds(&fig6) {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "redundancy raises tracking toward 100%",
+        shape_holds(&fig6),
     ));
     out
 }
@@ -127,12 +124,14 @@ mod tests {
     use super::*;
     use crate::experiments::{table2, table45};
     use crate::Calibration;
+    use rfid_sim::TrialExecutor;
 
     #[test]
     fn figures_derive_from_tables() {
         let cal = Calibration::default();
-        let t2 = table2::run(&cal, 4, 1);
-        let t45 = table45::run(&cal, 4, 2);
+        let executor = TrialExecutor::serial();
+        let t2 = table2::run(&cal, 4, 1, &executor);
+        let t45 = table45::run(&cal, 4, 2, &executor);
         let fig6 = figure6_bars(&t2, &t45);
         assert_eq!(fig6.len(), 6);
         let fig7 = figure7_bars(&t45);

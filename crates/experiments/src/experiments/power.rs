@@ -7,7 +7,7 @@
 //! out-of-zone ("false positive") reads vanish — and so, eventually,
 //! does in-zone reliability.
 
-use crate::report::percent;
+use crate::report::{percent, shape_check_line};
 use crate::scenarios::{antenna_poses, orient_tag};
 use crate::Calibration;
 use rfid_phys::{Dbm, Mounting};
@@ -104,29 +104,14 @@ fn portal_with_bystander(cal: &Calibration, power_dbm: f64) -> Scenario {
         .build()
 }
 
-/// Runs the sweep.
+/// Runs the sweep. Trial `i` has seed `seed.wrapping_add(i)`, so results
+/// are identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> PowerResult {
-    run_with(cal, trials, seed, &TrialExecutor::new())
-}
-
-/// [`run`] on an explicit executor. Trial `i` keeps seed
-/// `seed.wrapping_add(i)`, so results are identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-#[must_use]
-pub fn run_with(
-    cal: &Calibration,
-    trials: u64,
-    seed: u64,
-    executor: &TrialExecutor,
-) -> PowerResult {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> PowerResult {
     assert!(trials > 0, "at least one trial is required");
     let rows = POWERS_DBM
         .iter()
@@ -174,15 +159,12 @@ pub fn render(result: &PowerResult) -> String {
     format!(
         "Power sweep — the Section 2.1 false-positive lever, measured \
          (bystander parked {BYSTANDER_DISTANCE_M} m away in a staging area; \
-         {} passes per power; 30 dBm is the paper's setting)\n{table}\
-         shape check (lower power kills out-of-zone reads before in-zone \
-         reliability): {}\n",
+         {} passes per power; 30 dBm is the paper's setting)\n{table}{}",
         result.trials,
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+        shape_check_line(
+            "lower power kills out-of-zone reads before in-zone reliability",
+            result.shape_holds()
+        )
     )
 }
 
@@ -192,7 +174,7 @@ mod tests {
 
     #[test]
     fn the_tradeoff_has_a_sweet_spot() {
-        let result = run(&Calibration::default(), 10, 2007);
+        let result = run(&Calibration::default(), 10, 2007, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:?}",
@@ -206,14 +188,14 @@ mod tests {
 
     #[test]
     fn full_power_reads_reliably_in_zone() {
-        let result = run(&Calibration::default(), 6, 5);
+        let result = run(&Calibration::default(), 6, 5, &TrialExecutor::serial());
         let full = result.rows.last().expect("five powers");
         assert!(full.in_zone_reliability > 0.9);
     }
 
     #[test]
     fn render_lists_all_powers() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&result);
         for power in POWERS_DBM {
             assert!(text.contains(&format!("{power:.0} dBm")));

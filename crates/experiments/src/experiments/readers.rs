@@ -7,7 +7,7 @@
 //! called dense-reader mode, it is optional for readers. Our readers did
 //! not support dense-reader mode."
 
-use crate::report::paper_vs_measured;
+use crate::report::{paper_vs_measured, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
 use rfid_core::{tracking_outcome, ReliabilityEstimate};
@@ -70,29 +70,15 @@ fn measure(
     ReliabilityEstimate::from_counts(hits, trials * BOX_COUNT as u64).expect("bounded")
 }
 
-/// Runs the three configurations.
+/// Runs the three configurations. Trial `i` of a configuration has seed
+/// `seed` plus the configuration's offset plus `i`, so results are
+/// identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> ReadersResult {
-    run_with(cal, trials, seed, &TrialExecutor::new())
-}
-
-/// [`run`] on an explicit executor. Per-configuration seed offsets are
-/// unchanged, so results are identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-#[must_use]
-pub fn run_with(
-    cal: &Calibration,
-    trials: u64,
-    seed: u64,
-    executor: &TrialExecutor,
-) -> ReadersResult {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> ReadersResult {
     assert!(trials > 0, "at least one trial is required");
     ReadersResult {
         one_reader: measure(cal, 1, false, trials, seed, executor),
@@ -129,13 +115,9 @@ pub fn render(result: &ReadersResult) -> String {
         ),
         &rows,
     );
-    out.push_str(&format!(
-        "shape check (legacy pair collapses, dense pair recovers): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "legacy pair collapses, dense pair recovers",
+        result.shape_holds(),
     ));
     out
 }
@@ -146,7 +128,7 @@ mod tests {
 
     #[test]
     fn legacy_readers_collapse_and_dense_recovers() {
-        let result = run(&Calibration::default(), 4, 21);
+        let result = run(&Calibration::default(), 4, 21, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "one {} legacy {} dense {}",
@@ -158,7 +140,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_three_rows() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&result);
         assert!(text.contains("baseline"));
         assert!(text.contains("dense mode"));

@@ -1,7 +1,7 @@
 //! Section 4's timing claim: "allowing adequate time for all tags to be
 //! read, which is around .02 sec per tag".
 
-use crate::report::paper_vs_measured;
+use crate::report::{paper_vs_measured, shape_check_line};
 use crate::scenarios::{antenna_poses, orient_tag};
 use crate::Calibration;
 use rfid_geom::{Pose, Vec3};
@@ -88,13 +88,13 @@ fn population_scenario(cal: &Calibration, population: usize) -> Scenario {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> ReadRateResult {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> ReadRateResult {
     assert!(trials > 0, "at least one trial is required");
     let rows = POPULATIONS
         .iter()
         .map(|&population| {
             let scenario = population_scenario(cal, population);
-            let (read, duration, collisions) = TrialExecutor::new().run_round_fold(
+            let (read, duration, collisions) = executor.run_round_fold(
                 &scenario,
                 0,
                 0,
@@ -165,13 +165,9 @@ pub fn render(result: &ReadRateResult) -> String {
         ),
         &rows,
     );
-    out.push_str(&format!(
-        "shape check (all tags read, per-tag time near 0.02 s): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "all tags read, per-tag time near 0.02 s",
+        result.shape_holds(),
     ));
     out
 }
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn timing_matches_the_paper_claim() {
-        let result = run(&Calibration::default(), 3, 17);
+        let result = run(&Calibration::default(), 3, 17, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:#?}",
@@ -196,7 +192,7 @@ mod tests {
 
     #[test]
     fn collisions_grow_with_population() {
-        let result = run(&Calibration::default(), 3, 23);
+        let result = run(&Calibration::default(), 3, 23, &TrialExecutor::serial());
         let small = result.rows.first().unwrap().collisions;
         let large = result.rows.last().unwrap().collisions;
         assert!(large > small);
@@ -204,7 +200,7 @@ mod tests {
 
     #[test]
     fn render_sweeps_all_populations() {
-        let result = run(&Calibration::default(), 2, 2);
+        let result = run(&Calibration::default(), 2, 2, &TrialExecutor::serial());
         let text = render(&result);
         for p in POPULATIONS {
             assert!(text.contains(&format!("{p} tags")));

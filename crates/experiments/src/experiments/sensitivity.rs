@@ -9,9 +9,10 @@
 //! reproduction's findings are not knife-edge artifacts of calibration.
 
 use crate::experiments::table1;
-use crate::report::percent;
+use crate::report::{percent, shape_check_line};
 use crate::scenarios::BoxFace;
 use crate::Calibration;
+use rfid_sim::TrialExecutor;
 use rfid_stats::{Align, Table};
 
 /// One perturbation of the calibration.
@@ -130,13 +131,18 @@ impl SensitivityResult {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> SensitivityResult {
+pub fn run(
+    cal: &Calibration,
+    trials: u64,
+    seed: u64,
+    executor: &TrialExecutor,
+) -> SensitivityResult {
     assert!(trials > 0, "at least one trial is required");
     let rows = standard_perturbations(cal)
         .into_iter()
         .map(|perturbation| {
             perturbation.calibration.assert_plausible();
-            let result = table1::run(&perturbation.calibration, trials, seed);
+            let result = table1::run(&perturbation.calibration, trials, seed, executor);
             (perturbation.label, result)
         })
         .collect();
@@ -174,15 +180,10 @@ pub fn render(result: &SensitivityResult) -> String {
     format!(
         "Calibration sensitivity — Table 1 under perturbed constants \
          ({} passes per cell)\n{table}\
-         shape survives {}% of perturbations\n\
-         shape check (findings robust to calibration): {}\n",
+         shape survives {}% of perturbations\n{}",
         result.trials,
         (result.shape_survival() * 100.0).round(),
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+        shape_check_line("findings robust to calibration", result.shape_holds())
     )
 }
 
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn findings_survive_every_perturbation() {
-        let result = run(&Calibration::default(), 6, 2007);
+        let result = run(&Calibration::default(), 6, 2007, &TrialExecutor::serial());
         assert!(result.shape_holds(), "{}", render(&result));
     }
 
@@ -210,7 +211,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_perturbation() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&result);
         assert!(text.contains("baseline"));
         assert!(text.contains("cart 25% faster"));

@@ -6,9 +6,11 @@
 //! `rfid-core` spacing advisor and reports the threshold per orientation.
 
 use crate::experiments::fig4::{self, Fig4Result, SPACINGS_M};
+use crate::report::shape_check_line;
 use crate::scenarios::{OrientationCase, TAG_COUNT};
 use crate::Calibration;
 use rfid_core::{min_safe_spacing, Probability};
+use rfid_sim::TrialExecutor;
 use rfid_stats::{Align, Table};
 
 /// Per-orientation minimum safe spacing.
@@ -16,8 +18,6 @@ use rfid_stats::{Align, Table};
 pub struct SpacingAdvice {
     /// (orientation, minimum safe spacing in meters if reachable).
     pub thresholds: Vec<(OrientationCase, Option<f64>)>,
-    /// The underlying Figure 4 data.
-    pub fig4: Fig4Result,
 }
 
 impl SpacingAdvice {
@@ -34,7 +34,7 @@ impl SpacingAdvice {
 
 /// Derives the advice from a Figure 4 run.
 #[must_use]
-pub fn from_fig4(fig4: Fig4Result) -> SpacingAdvice {
+pub fn from_fig4(fig4: &Fig4Result) -> SpacingAdvice {
     let thresholds = OrientationCase::ALL
         .iter()
         .map(|&orientation| {
@@ -48,7 +48,7 @@ pub fn from_fig4(fig4: Fig4Result) -> SpacingAdvice {
             (orientation, min_safe_spacing(&curve, 0.9))
         })
         .collect();
-    SpacingAdvice { thresholds, fig4 }
+    SpacingAdvice { thresholds }
 }
 
 /// Runs Figure 4 and derives the advice.
@@ -57,8 +57,8 @@ pub fn from_fig4(fig4: Fig4Result) -> SpacingAdvice {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> SpacingAdvice {
-    from_fig4(fig4::run(cal, trials, seed))
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> SpacingAdvice {
+    from_fig4(&fig4::run(cal, trials, seed, executor))
 }
 
 /// Renders the advice table.
@@ -77,13 +77,11 @@ pub fn render(advice: &SpacingAdvice) -> String {
     }
     format!(
         "Section 3 guidance — minimum safe inter-tag spacing \
-         (paper: at least 20-40 mm depending on orientation)\n{table}\
-         shape check (broadside orientations safe at 20-40 mm): {}\n",
-        if advice.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+         (paper: at least 20-40 mm depending on orientation)\n{table}{}",
+        shape_check_line(
+            "broadside orientations safe at 20-40 mm",
+            advice.shape_holds()
+        )
     )
 }
 
@@ -93,7 +91,7 @@ mod tests {
 
     #[test]
     fn broadside_orientations_need_twenty_to_forty_mm() {
-        let advice = run(&Calibration::default(), 6, 31);
+        let advice = run(&Calibration::default(), 6, 31, &TrialExecutor::serial());
         assert!(
             advice.shape_holds(),
             "{:?}",
@@ -107,7 +105,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_orientation() {
-        let advice = run(&Calibration::default(), 2, 3);
+        let advice = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&advice);
         for case in OrientationCase::ALL {
             assert!(text.contains(case.label()));

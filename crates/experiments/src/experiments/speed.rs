@@ -8,7 +8,7 @@
 //! it bites: the cart with *every* face of every box tagged (48 tags), so
 //! inventory time competes with dwell time as speed rises.
 
-use crate::report::percent;
+use crate::report::{percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
 use rfid_core::ReliabilityEstimate;
@@ -63,29 +63,15 @@ impl SpeedResult {
 }
 
 /// Runs the sweep on the fully-tagged object workload (4 tags x 12
-/// boxes); the reported reliability is the per-tag read fraction.
+/// boxes); the reported reliability is the per-tag read fraction. Trial
+/// `i` has seed `seed.wrapping_add(i)`, so results are identical for any
+/// thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> SpeedResult {
-    run_with(cal, trials, seed, &TrialExecutor::new())
-}
-
-/// [`run`] on an explicit executor. Trial `i` keeps seed
-/// `seed.wrapping_add(i)`, so results are identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-#[must_use]
-pub fn run_with(
-    cal: &Calibration,
-    trials: u64,
-    seed: u64,
-    executor: &TrialExecutor,
-) -> SpeedResult {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> SpeedResult {
     assert!(trials > 0, "at least one trial is required");
     let rows = SPEEDS_MPS
         .iter()
@@ -142,14 +128,9 @@ pub fn render(result: &SpeedResult) -> String {
     format!(
         "Speed sweep — the Section 2.1 factor the paper lists but never \
          isolates (fully tagged cart: 4 tags x {BOX_COUNT} boxes; {} passes \
-         per speed; 1.0 m/s is the paper's cart)\n{table}\
-         shape check (faster passes read worse): {}\n",
+         per speed; 1.0 m/s is the paper's cart)\n{table}{}",
         result.trials,
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+        shape_check_line("faster passes read worse", result.shape_holds())
     )
 }
 
@@ -159,7 +140,7 @@ mod tests {
 
     #[test]
     fn faster_passes_read_worse() {
-        let result = run(&Calibration::default(), 6, 2007);
+        let result = run(&Calibration::default(), 6, 2007, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:?}",
@@ -173,7 +154,7 @@ mod tests {
 
     #[test]
     fn dwell_time_is_inverse_in_speed() {
-        let result = run(&Calibration::default(), 2, 1);
+        let result = run(&Calibration::default(), 2, 1, &TrialExecutor::serial());
         for pair in result.rows.windows(2) {
             assert!(pair[1].dwell_s < pair[0].dwell_s);
         }
@@ -181,7 +162,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_speeds() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&result);
         for speed in SPEEDS_MPS {
             assert!(text.contains(&format!("{speed:.1} m/s")));

@@ -1,6 +1,6 @@
 //! Table 1: read reliability for tags on objects.
 
-use crate::report::{paper_vs_measured, percent};
+use crate::report::{paper_vs_measured, percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
 use rfid_core::{tracking_outcome, PlacementAdvisor, ReliabilityEstimate};
@@ -55,29 +55,14 @@ impl Table1Result {
 }
 
 /// Runs the experiment: each location tagged on all 12 boxes, `trials`
-/// cart passes (the paper used 12).
-///
-/// # Panics
-///
-/// Panics if `trials == 0`.
-#[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table1Result {
-    run_with(cal, trials, seed, &TrialExecutor::new())
-}
-
-/// [`run`] on an explicit executor. Trial `i` keeps seed
+/// cart passes (the paper used 12). Trial `i` has seed
 /// `seed.wrapping_add(i)`, so results are identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run_with(
-    cal: &Calibration,
-    trials: u64,
-    seed: u64,
-    executor: &TrialExecutor,
-) -> Table1Result {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Table1Result {
     assert!(trials > 0, "at least one trial is required");
     let locations = BoxFace::ALL
         .iter()
@@ -148,13 +133,9 @@ pub fn render(result: &Table1Result) -> String {
             percent(report.recommended_pair.2.value()),
         ));
     }
-    out.push_str(&format!(
-        "shape check (top << farther < front/closer): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "top << farther < front/closer",
+        result.shape_holds(),
     ));
     out
 }
@@ -165,7 +146,7 @@ mod tests {
 
     #[test]
     fn shape_holds_at_modest_trials() {
-        let result = run(&Calibration::default(), 6, 11);
+        let result = run(&Calibration::default(), 6, 11, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:?}",
@@ -179,7 +160,7 @@ mod tests {
 
     #[test]
     fn estimates_cover_all_locations() {
-        let result = run(&Calibration::default(), 2, 1);
+        let result = run(&Calibration::default(), 2, 1, &TrialExecutor::serial());
         for face in BoxFace::ALL {
             let est = result.estimate(face).expect("location measured");
             assert_eq!(est.trials(), 2 * BOX_COUNT as u64);
@@ -189,7 +170,7 @@ mod tests {
 
     #[test]
     fn render_includes_advice() {
-        let result = run(&Calibration::default(), 3, 2);
+        let result = run(&Calibration::default(), 3, 2, &TrialExecutor::serial());
         let text = render(&result);
         assert!(text.contains("placement advice"));
         assert!(text.contains("Top"));

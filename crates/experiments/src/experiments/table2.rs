@@ -1,6 +1,6 @@
 //! Table 2: read reliability for tags on humans.
 
-use crate::report::{paper_vs_measured, percent};
+use crate::report::{paper_vs_measured, percent, shape_check_line};
 use crate::scenarios::{human_pass_scenario, BadgeSpot, HumanPassConfig};
 use crate::Calibration;
 use rfid_core::{tracking_outcome, ReliabilityEstimate};
@@ -64,9 +64,8 @@ impl Table2Result {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table2Result {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Table2Result {
     assert!(trials > 0, "at least one trial is required");
-    let executor = TrialExecutor::new();
     let one_subject = BadgeSpot::ALL
         .iter()
         .map(|&spot| {
@@ -209,13 +208,9 @@ pub fn render(result: &Table2Result) -> String {
          (2/20); the residual reads in their lab came from wall reflections our \
          room model omits (see EXPERIMENTS.md)\n",
     );
-    out.push_str(&format!(
-        "shape check (closer best, farther blocked, reflection boost): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "closer best, farther blocked, reflection boost",
+        result.shape_holds(),
     ));
     out
 }
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn shape_holds_at_modest_trials() {
-        let result = run(&Calibration::default(), 12, 3);
+        let result = run(&Calibration::default(), 12, 3, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "one: {:?}",
@@ -240,14 +235,14 @@ mod tests {
 
     #[test]
     fn pooling_front_and_back() {
-        let result = run(&Calibration::default(), 4, 5);
+        let result = run(&Calibration::default(), 4, 5, &TrialExecutor::serial());
         let pooled = result.front_back_pooled().expect("both spots measured");
         assert_eq!(pooled.trials(), 8);
     }
 
     #[test]
     fn render_has_all_rows() {
-        let result = run(&Calibration::default(), 3, 9);
+        let result = run(&Calibration::default(), 3, 9, &TrialExecutor::serial());
         let text = render(&result);
         assert!(text.contains("Front / Back"));
         assert!(text.contains("Side (closer)"));

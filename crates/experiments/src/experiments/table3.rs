@@ -6,7 +6,7 @@
 //! reliability `R_C = 1 - prod(1 - P_i)` is computed from those
 //! measurements, then compared against the configuration's measured `R_M`.
 
-use crate::report::{model_comparison_table, percent};
+use crate::report::{model_comparison_table, percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
 use rfid_core::{
@@ -70,9 +70,10 @@ fn measure(
     config: &ObjectPassConfig,
     trials: u64,
     seed: u64,
+    executor: &TrialExecutor,
 ) -> ReliabilityEstimate {
     let (scenario, box_tags) = object_pass_scenario(cal, config);
-    let hits = TrialExecutor::new().run_scenario_fold(
+    let hits = executor.run_scenario_fold(
         &scenario,
         trials,
         seed,
@@ -104,40 +105,29 @@ fn two_antenna_config(faces: Vec<BoxFace>) -> ObjectPassConfig {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table3Result {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Table3Result {
     assert!(trials > 0, "at least one trial is required");
 
+    let measured = |config: &ObjectPassConfig, offset: u64| {
+        measure(cal, config, trials, seed.wrapping_add(offset), executor)
+    };
+
     // Step 1 — Section 3 base measurements (1 antenna, 1 tag).
-    let p_front = measure(cal, &ObjectPassConfig::single(BoxFace::Front), trials, seed);
-    let p_side = measure(
-        cal,
-        &ObjectPassConfig::single(BoxFace::SideCloser),
-        trials,
-        seed.wrapping_add(0x10),
-    );
-    let p_far = measure(
-        cal,
-        &ObjectPassConfig::single(BoxFace::SideFarther),
-        trials,
-        seed.wrapping_add(0x20),
-    );
+    let p_front = measured(&ObjectPassConfig::single(BoxFace::Front), 0);
+    let p_side = measured(&ObjectPassConfig::single(BoxFace::SideCloser), 0x10);
+    let p_far = measured(&ObjectPassConfig::single(BoxFace::SideFarther), 0x20);
     let (f, s, far) = (p_front.point(), p_side.point(), p_far.point());
 
     // Step 2 — redundancy configurations: measured R_M and analytical R_C.
     let mut rows = Vec::new();
 
-    let two_ant_front = measure(
-        cal,
-        &two_antenna_config(vec![BoxFace::Front]),
-        trials,
-        seed.wrapping_add(0x30),
-    );
+    let two_ant_front = measured(&two_antenna_config(vec![BoxFace::Front]), 0x30);
     // Re-run the same configuration collecting per-antenna outcomes to
     // quantify the correlation the paper observed qualitatively.
     let antenna_joint = {
         let config = two_antenna_config(vec![BoxFace::Front]);
         let (scenario, box_tags) = object_pass_scenario(cal, &config);
-        TrialExecutor::new().run_scenario_fold(
+        executor.run_scenario_fold(
             &scenario,
             trials,
             seed.wrapping_add(0x30),
@@ -159,12 +149,7 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table3Result {
         )
     };
     let fitted = antenna_joint.fit_common_cause();
-    let two_ant_side = measure(
-        cal,
-        &two_antenna_config(vec![BoxFace::SideCloser]),
-        trials,
-        seed.wrapping_add(0x40),
-    );
+    let two_ant_side = measured(&two_antenna_config(vec![BoxFace::SideCloser]), 0x40);
     rows.push(ModelComparison::new(
         "2 antennas, 1 tag (front)",
         two_ant_front,
@@ -185,41 +170,35 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table3Result {
 
     rows.push(ModelComparison::new(
         "1 antenna, 2 tags (front + side)",
-        measure(
-            cal,
+        measured(
             &ObjectPassConfig {
                 faces: vec![BoxFace::Front, BoxFace::SideCloser],
                 antennas: 1,
                 readers: 1,
                 dense_mode: false,
             },
-            trials,
-            seed.wrapping_add(0x50),
+            0x50,
         ),
         combined_reliability([f, s]),
     ));
     rows.push(ModelComparison::new(
         "1 antenna, 2 tags (front + far side)",
-        measure(
-            cal,
+        measured(
             &ObjectPassConfig {
                 faces: vec![BoxFace::Front, BoxFace::SideFarther],
                 antennas: 1,
                 readers: 1,
                 dense_mode: false,
             },
-            trials,
-            seed.wrapping_add(0x60),
+            0x60,
         ),
         combined_reliability([f, far]),
     ));
     rows.push(ModelComparison::new(
         "2 antennas, 2 tags (front + side)",
-        measure(
-            cal,
+        measured(
             &two_antenna_config(vec![BoxFace::Front, BoxFace::SideCloser]),
-            trials,
-            seed.wrapping_add(0x70),
+            0x70,
         ),
         combined_reliability([f, f, s, s]),
     ));
@@ -294,13 +273,9 @@ pub fn render(result: &Table3Result) -> String {
         }
     }
     out.push_str(&format!("\n{chart}"));
-    out.push_str(&format!(
-        "shape check (antenna redundancy < model, tag redundancy = model, both = ~100%): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "antenna redundancy < model, tag redundancy = model, both = ~100%",
+        result.shape_holds(),
     ));
     out.push_str(&format!(
         "paper: tags {} -> {} with a second tag; antennas underperform the model\n",
@@ -334,7 +309,7 @@ mod tests {
 
     #[test]
     fn rows_cover_the_paper_configurations() {
-        let result = run(&Calibration::default(), 2, 1);
+        let result = run(&Calibration::default(), 2, 1, &TrialExecutor::serial());
         assert_eq!(result.rows.len(), 6);
         assert!(result.row("2 antennas, 2 tags (front + side)").is_some());
     }
@@ -342,7 +317,7 @@ mod tests {
     #[test]
     fn shape_holds_at_realistic_trials() {
         // Needs enough passes for the gap statistics to stabilize.
-        let result = run(&Calibration::default(), 10, 40);
+        let result = run(&Calibration::default(), 10, 40, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:#?}",
@@ -360,7 +335,7 @@ mod tests {
 
     #[test]
     fn calculated_values_follow_the_formula() {
-        let result = run(&Calibration::default(), 2, 9);
+        let result = run(&Calibration::default(), 2, 9, &TrialExecutor::serial());
         let f = result.base[0].point().value();
         let row = result.row("2 antennas, 1 tag (front)").unwrap();
         assert!((row.calculated.value() - (1.0 - (1.0 - f).powi(2))).abs() < 1e-12);
@@ -368,7 +343,7 @@ mod tests {
 
     #[test]
     fn antenna_correlation_is_positive_and_fitted_model_closes_the_gap() {
-        let result = run(&Calibration::default(), 10, 40);
+        let result = run(&Calibration::default(), 10, 40, &TrialExecutor::serial());
         let phi = result.antenna_joint.phi().expect("non-degenerate table");
         assert!(
             phi > 0.0,
@@ -393,7 +368,7 @@ mod tests {
 
     #[test]
     fn render_contains_table_and_chart() {
-        let result = run(&Calibration::default(), 2, 3);
+        let result = run(&Calibration::default(), 2, 3, &TrialExecutor::serial());
         let text = render(&result);
         assert!(text.contains("Table 3"));
         assert!(text.contains("Figure 5"));

@@ -6,7 +6,7 @@
 //! procedure), then compared with each redundancy configuration's
 //! measured R_M — for one subject and for two subjects walking abreast.
 
-use crate::report::model_comparison_table;
+use crate::report::{model_comparison_table, shape_check_line};
 use crate::scenarios::{human_pass_scenario, BadgeSpot, HumanPassConfig};
 use crate::Calibration;
 use rfid_core::{
@@ -192,6 +192,7 @@ fn measure(
     antennas: usize,
     trials: u64,
     seed: u64,
+    executor: &TrialExecutor,
 ) -> Vec<ReliabilityEstimate> {
     let config = HumanPassConfig {
         subjects,
@@ -199,7 +200,7 @@ fn measure(
         antennas,
     };
     let (scenario, subject_tags) = human_pass_scenario(cal, &config);
-    let hits = TrialExecutor::new().run_scenario_fold(
+    let hits = executor.run_scenario_fold(
         &scenario,
         trials,
         seed,
@@ -232,6 +233,7 @@ fn measure_set(
     antennas: usize,
     trials: u64,
     seed: u64,
+    executor: &TrialExecutor,
 ) -> Vec<ReliabilityEstimate> {
     let mut pooled: Option<Vec<ReliabilityEstimate>> = None;
     for (k, spots) in set.spot_lists().into_iter().enumerate() {
@@ -242,6 +244,7 @@ fn measure_set(
             antennas,
             trials,
             seed.wrapping_add((k as u64) << 16),
+            executor,
         );
         pooled = Some(match pooled {
             None => run,
@@ -273,8 +276,30 @@ pub const CONFIGURATIONS: [(TagSet, usize); 8] = [
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table45Result {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> Table45Result {
     assert!(trials > 0, "at least one trial is required");
+    let spot_cell = |subjects, spot: BadgeSpot, salt: u64| {
+        measure(
+            cal,
+            subjects,
+            &[spot],
+            1,
+            trials,
+            seed.wrapping_add(salt),
+            executor,
+        )
+    };
+    let set_cell = |subjects, set: TagSet, antennas, salt: u64| {
+        measure_set(
+            cal,
+            subjects,
+            set,
+            antennas,
+            trials,
+            seed.wrapping_add(salt),
+            executor,
+        )
+    };
 
     // Bases: single badge per spot, one antenna.
     let mut one_spots = Vec::new();
@@ -282,16 +307,9 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table45Result {
     let mut farther_spots = Vec::new();
     for (k, &spot) in BadgeSpot::ALL.iter().enumerate() {
         let salt = (k as u64) << 8;
-        let single = measure(cal, 1, &[spot], 1, trials, seed.wrapping_add(salt));
+        let single = spot_cell(1, spot, salt);
         one_spots.push((spot, single[0]));
-        let pair = measure(
-            cal,
-            2,
-            &[spot],
-            1,
-            trials,
-            seed.wrapping_add(salt | 0x1_0000),
-        );
+        let pair = spot_cell(2, spot, salt | 0x1_0000);
         closer_spots.push((spot, pair[0]));
         farther_spots.push((spot, pair[1]));
     }
@@ -309,15 +327,8 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64) -> Table45Result {
     let mut rows = Vec::new();
     for (ci, &(set, antennas)) in CONFIGURATIONS.iter().enumerate() {
         let salt = 0x100_0000 + ((ci as u64) << 20);
-        let one = measure_set(cal, 1, set, antennas, trials, seed.wrapping_add(salt));
-        let two = measure_set(
-            cal,
-            2,
-            set,
-            antennas,
-            trials,
-            seed.wrapping_add(salt | 0x8_0000),
-        );
+        let one = set_cell(1, set, antennas, salt);
+        let two = set_cell(2, set, antennas, salt | 0x8_0000);
         let label = |suffix: &str| format!("{} x {antennas} ant ({suffix})", set.label());
         rows.push(HumanRow {
             set,
@@ -397,14 +408,9 @@ pub fn render(result: &Table45Result) -> String {
         ));
         out.push('\n');
     }
-    out.push_str(&format!(
-        "shape check (2 tags rescue one subject; 4 tags / 2x2 reach ~100% even \
-         for the blocked subject): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "2 tags rescue one subject; 4 tags / 2x2 reach ~100% even for the blocked subject",
+        result.shape_holds(),
     ));
     out
 }
@@ -414,7 +420,7 @@ mod tests {
     use super::*;
 
     fn small() -> Table45Result {
-        run(&Calibration::default(), 4, 77)
+        run(&Calibration::default(), 4, 77, &TrialExecutor::serial())
     }
 
     #[test]
@@ -436,7 +442,7 @@ mod tests {
 
     #[test]
     fn shape_holds_at_modest_trials() {
-        let result = run(&Calibration::default(), 8, 5);
+        let result = run(&Calibration::default(), 8, 5, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "{:#?}",

@@ -10,7 +10,7 @@
 //!   on harvested power — the closest protocol-compatible stand-in for
 //!   an active tag.
 
-use crate::report::paper_vs_measured;
+use crate::report::{paper_vs_measured, shape_check_line};
 use crate::scenarios::{
     read_range_scenario_with_chip, spacing_scenario_with_chip, OrientationCase, TAG_COUNT,
 };
@@ -102,14 +102,14 @@ impl TagDesignResult {
 ///
 /// Panics if `trials == 0`.
 #[must_use]
-pub fn run(cal: &Calibration, trials: u64, seed: u64) -> TagDesignResult {
+pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) -> TagDesignResult {
     assert!(trials > 0, "at least one trial is required");
     let end_on = TagBuild::ALL
         .iter()
         .map(|&build| {
             let scenario =
                 spacing_scenario_with_chip(cal, 0.040, OrientationCase::Case1, build.chip(cal));
-            let total = TrialExecutor::new().run_scenario_fold(
+            let total = executor.run_scenario_fold(
                 &scenario,
                 trials,
                 seed,
@@ -124,7 +124,7 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64) -> TagDesignResult {
         .iter()
         .map(|&build| {
             let scenario = read_range_scenario_with_chip(cal, 6.0, build.chip(cal));
-            let total = TrialExecutor::new().run_round_fold(
+            let total = executor.run_round_fold(
                 &scenario,
                 0,
                 0,
@@ -173,14 +173,9 @@ pub fn render(result: &TagDesignResult) -> String {
         ),
         &rows,
     );
-    out.push_str(&format!(
-        "shape check (dual dipole repairs the orientation null; battery assist \
-         extends range): {}\n",
-        if result.shape_holds() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+    out.push_str(&shape_check_line(
+        "dual dipole repairs the orientation null; battery assist extends range",
+        result.shape_holds(),
     ));
     out
 }
@@ -191,7 +186,7 @@ mod tests {
 
     #[test]
     fn designs_fix_their_target_weaknesses() {
-        let result = run(&Calibration::default(), 6, 13);
+        let result = run(&Calibration::default(), 6, 13, &TrialExecutor::serial());
         assert!(
             result.shape_holds(),
             "end-on {:?}, range {:?}",
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn baseline_matches_the_main_experiments() {
-        let result = run(&Calibration::default(), 6, 13);
+        let result = run(&Calibration::default(), 6, 13, &TrialExecutor::serial());
         // Baseline end-on is poor (the paper's cases 1/5 finding).
         let base = TagDesignResult::value(&result.end_on, TagBuild::Baseline);
         assert!(base < 6.0, "baseline end-on should stay weak: {base}");
@@ -210,7 +205,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_builds() {
-        let result = run(&Calibration::default(), 2, 5);
+        let result = run(&Calibration::default(), 2, 5, &TrialExecutor::serial());
         let text = render(&result);
         for build in TagBuild::ALL {
             assert!(text.contains(build.label()));

@@ -3,22 +3,10 @@
 //! Every result in the DSN 2007 paper's evaluation maps to a function
 //! here that builds the corresponding scenario, runs it for a number of
 //! trials, and renders the same rows/series the paper reports, side by
-//! side with the paper's published values. The `repro` binary exposes
-//! them as subcommands:
-//!
-//! | Subcommand | Paper result |
-//! |---|---|
-//! | `fig2` | Figure 2 — read reliability vs. tag-antenna distance |
-//! | `fig4` | Figure 4 — inter-tag spacing x orientation |
-//! | `table1` | Table 1 — tag location on objects |
-//! | `table2` | Table 2 — tag location on humans, 1-2 subjects |
-//! | `table3` | Table 3 + Figure 5 — object-tracking redundancy |
-//! | `table4` | Table 4 — human tracking, 1 antenna |
-//! | `table5` | Table 5 — human tracking, 2 antennas |
-//! | `fig6` / `fig7` | Figures 6/7 — one/two-subject tracking bars |
-//! | `readers` | Section 4 — reader redundancy without/with dense mode |
-//! | `readrate` | Section 4 — ~0.02 s per tag read |
-//! | `spacing` | Section 3 guidance — minimum safe inter-tag spacing |
+//! side with the paper's published values.
+//! [`experiments::EXPERIMENTS`] lists every one with the `repro`
+//! subcommands that select it and the paper's trial count; DESIGN.md §3
+//! maps each to the paper's result.
 //!
 //! [`calibration::Calibration`] holds the handful of physical constants
 //! tuned (once) so the *single-opportunity* reliabilities land near the

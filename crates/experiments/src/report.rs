@@ -22,6 +22,16 @@ pub fn percent_fine(p: f64) -> String {
     }
 }
 
+/// The line that closes every experiment's report: the claim its shape
+/// check tests, and whether the run upheld it.
+#[must_use]
+pub fn shape_check_line(claim: &str, holds: bool) -> String {
+    format!(
+        "shape check ({claim}): {}\n",
+        if holds { "HOLDS" } else { "VIOLATED" }
+    )
+}
+
 /// Builds the standard three-column comparison table: label, paper value,
 /// reproduced value.
 #[must_use]
@@ -176,7 +186,12 @@ mod tests {
     fn counters_line_reports_sim_work() {
         rfid_sim::counters::reset();
         let before = rfid_sim::counters::snapshot();
-        let _ = crate::experiments::fig2::run(&crate::Calibration::default(), 2, 1);
+        let _ = crate::experiments::fig2::run(
+            &crate::Calibration::default(),
+            2,
+            1,
+            &rfid_sim::TrialExecutor::serial(),
+        );
         let snapshot = rfid_sim::counters::snapshot().since(&before);
         let line = counters_line(&snapshot);
         assert!(line.contains("sim work"), "{line}");

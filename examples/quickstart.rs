@@ -8,7 +8,7 @@
 
 use rfid_repro::core::{combined_reliability, estimate_over_trials, tracking_outcome, Probability};
 use rfid_repro::geom::{Pose, Rotation, Vec3};
-use rfid_repro::sim::{Motion, ScenarioBuilder};
+use rfid_repro::sim::{Motion, ScenarioBuilder, TrialExecutor};
 
 fn main() {
     // A portal: one antenna at 1 m height, boresight across the lane.
@@ -25,8 +25,13 @@ fn main() {
         ))
         .build();
 
-    // Measure single-tag tracking reliability over 40 independent passes.
-    let single = estimate_over_trials(&scenario, 40, 1, |output| tracking_outcome(output, &[0]));
+    // Measure single-tag tracking reliability over 40 independent passes,
+    // spread over the machine's cores (the estimate is the same on any
+    // number of threads).
+    let executor = TrialExecutor::new();
+    let single = estimate_over_trials(&executor, &scenario, 40, 1, |output| {
+        tracking_outcome(output, &[0])
+    });
     println!("single tag, single antenna: {single}");
 
     // The paper's model: a second, independent read opportunity.
@@ -54,7 +59,7 @@ fn main() {
             5.0,
         ))
         .build();
-    let double = estimate_over_trials(&two_tag_scenario, 40, 1, |output| {
+    let double = estimate_over_trials(&executor, &two_tag_scenario, 40, 1, |output| {
         tracking_outcome(output, &[0, 1])
     });
     println!("two tags, measured:         {double}");

@@ -73,9 +73,14 @@ rm -f "$site_out"
 # Reproduce the paper: `repro all` regenerates every table and figure
 # at the paper's trial counts and exits non-zero if any of its 15
 # shape checks is violated, so a change to the simulation that bends a
-# published result fails the gate (about 7 s in release). `timeout`
+# published result fails the gate (about 7 s in release). The grep pins
+# the count: an experiment that dropped out of the list would leave
+# every remaining check holding and the exit code at zero. `timeout`
 # guards against a runaway experiment.
-timeout 300 cargo run --release -q -p rfid-experiments --bin repro -- all
+repro_out="$(mktemp)"
+timeout 300 cargo run --release -q -p rfid-experiments --bin repro -- all | tee "$repro_out"
+grep -q "shape checks: 15/15 HOLD" "$repro_out"
+rm -f "$repro_out"
 
 # The shard identity suite under its own budget: these proptests prove
 # the daemon's ingest plane gives the K=1 report at any shard count,
