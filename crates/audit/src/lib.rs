@@ -33,9 +33,7 @@
 //! Suppression is explicit: `// audit:allow(<lint>, reason = "…")` on
 //! (or directly above) the offending line. Run it with
 //! `cargo run -p rfid-audit`; the exit code is the finding count, so it
-//! slots in as the first stage of `scripts/ci.sh`. CI can adopt a new
-//! lint incrementally with `--write-baseline` / `--baseline`, which
-//! shrink the exit code to *new* findings only.
+//! slots in as the first stage of `scripts/ci.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

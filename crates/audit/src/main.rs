@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! rfid-audit [--root <dir>] [--json] [--list-allows]
-//!            [--baseline <file>] [--write-baseline <file>]
 //! ```
 //!
 //! * default mode prints human-readable findings; the **exit code is the
@@ -10,13 +9,6 @@
 //! * `--json` prints one JSON object with findings and allows;
 //! * `--list-allows` prints every `audit:allow` directive with its
 //!   reason (exit 0 — it is a review aid, not a gate);
-//! * `--baseline <file>` subtracts previously accepted findings: the
-//!   exit code becomes the count of findings **not** in the baseline,
-//!   so the gate fails only on regressions while a new lint matures
-//!   (a missing baseline file is fatal — a deleted baseline must not
-//!   read as "everything accepted");
-//! * `--write-baseline <file>` records the current findings' keys and
-//!   exits 0 — the one deliberate way to accept the status quo;
 //! * `--root` points at a tree other than the current directory (the
 //!   fixture tests use this; CI runs from the repo root).
 //!
@@ -24,7 +16,6 @@
 //! with 201, above the finding-count range, so a broken gate can never
 //! masquerade as a clean tree.
 
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -37,8 +28,6 @@ struct Options {
     root: PathBuf,
     json: bool,
     list_allows: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -46,8 +35,6 @@ fn parse_args() -> Result<Options, String> {
         root: PathBuf::from("."),
         json: false,
         list_allows: false,
-        baseline: None,
-        write_baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -60,22 +47,8 @@ fn parse_args() -> Result<Options, String> {
                 };
                 opts.root = PathBuf::from(dir);
             }
-            "--baseline" => {
-                let Some(file) = args.next() else {
-                    return Err("--baseline requires a file argument".to_owned());
-                };
-                opts.baseline = Some(PathBuf::from(file));
-            }
-            "--write-baseline" => {
-                let Some(file) = args.next() else {
-                    return Err("--write-baseline requires a file argument".to_owned());
-                };
-                opts.write_baseline = Some(PathBuf::from(file));
-            }
             "--help" | "-h" => {
-                return Err("usage: rfid-audit [--root <dir>] [--json] [--list-allows] \
-                            [--baseline <file>] [--write-baseline <file>]"
-                    .to_owned());
+                return Err("usage: rfid-audit [--root <dir>] [--json] [--list-allows]".to_owned());
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -91,35 +64,13 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_FATAL);
         }
     };
-    let mut report = match rfid_audit::run(&opts.root) {
+    let report = match rfid_audit::run(&opts.root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("rfid-audit: fatal: {e}");
             return ExitCode::from(EXIT_FATAL);
         }
     };
-    if let Some(path) = &opts.write_baseline {
-        if let Err(e) = fs::write(path, report.baseline_lines()) {
-            eprintln!("rfid-audit: fatal: {}: {e}", path.display());
-            return ExitCode::from(EXIT_FATAL);
-        }
-        println!(
-            "rfid-audit: wrote baseline with {} entr(y/ies) to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &opts.baseline {
-        let text = match fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("rfid-audit: fatal: {}: {e}", path.display());
-                return ExitCode::from(EXIT_FATAL);
-            }
-        };
-        report.apply_baseline(&text);
-    }
     if opts.list_allows {
         print!("{}", report.render_allows());
         return ExitCode::SUCCESS;

@@ -63,14 +63,6 @@ impl Finding {
     pub fn hint(&self) -> &'static str {
         lint_by_name(self.lint).map_or("", |l| l.hint)
     }
-
-    /// The finding's baseline identity: `file|lint|span`. Line numbers
-    /// are deliberately excluded so unrelated edits above a baselined
-    /// finding do not resurrect it.
-    #[must_use]
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.file, self.lint, self.span)
-    }
 }
 
 /// The whole run: findings, allows, and scan statistics.
@@ -82,51 +74,9 @@ pub struct AuditReport {
     pub allows: Vec<Allow>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Findings suppressed by an accepted baseline (`--baseline`).
-    pub baselined: usize,
 }
 
 impl AuditReport {
-    /// Removes findings whose [`Finding::baseline_key`] is covered by
-    /// `baseline` (one key per line, `#` comments and blanks ignored).
-    /// Coverage is a multiset: a baseline with one entry for a key
-    /// accepts one finding with that key, not every future duplicate.
-    pub fn apply_baseline(&mut self, baseline: &str) {
-        let mut budget: std::collections::BTreeMap<&str, usize> = Default::default();
-        for line in baseline.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            *budget.entry(line).or_insert(0) += 1;
-        }
-        let mut kept = Vec::with_capacity(self.findings.len());
-        for f in self.findings.drain(..) {
-            let key = f.baseline_key();
-            match budget.get_mut(key.as_str()) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    self.baselined += 1;
-                }
-                _ => kept.push(f),
-            }
-        }
-        self.findings = kept;
-    }
-
-    /// The `--write-baseline` rendering: every finding's key, sorted,
-    /// one per line.
-    #[must_use]
-    pub fn baseline_lines(&self) -> String {
-        let mut keys: Vec<String> = self.findings.iter().map(Finding::baseline_key).collect();
-        keys.sort();
-        let mut out = String::new();
-        for key in keys {
-            let _ = writeln!(out, "{key}");
-        }
-        out
-    }
-
     /// Human-readable rendering: one block per finding plus a summary.
     #[must_use]
     pub fn render_human(&self) -> String {
@@ -143,16 +93,10 @@ impl AuditReport {
                 f.hint()
             );
         }
-        let baselined = if self.baselined > 0 {
-            format!(" ({} baselined)", self.baselined)
-        } else {
-            String::new()
-        };
         let _ = writeln!(
             out,
-            "audit: {} finding(s){} across {} file(s); {} allow directive(s)",
+            "audit: {} finding(s) across {} file(s); {} allow directive(s)",
             self.findings.len(),
-            baselined,
             self.files_scanned,
             self.allows.len()
         );

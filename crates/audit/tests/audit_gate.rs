@@ -444,50 +444,6 @@ fn transitive_blocking_fires_at_the_call_site() {
     );
 }
 
-/// `--write-baseline` accepts the status quo; `--baseline` then fails
-/// only on *new* findings, and a deleted baseline file is fatal rather
-/// than silently accepting everything.
-#[test]
-fn baseline_accepts_status_quo_and_catches_regressions() {
-    let root = fixture(
-        "baseline",
-        &[(
-            "det/src/old.rs",
-            "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-        )],
-    );
-    let baseline = root.join("audit-baseline.txt");
-    let baseline_s = baseline.to_str().expect("utf-8 tmpdir");
-
-    let (code, out) = run_audit(&root, &[]);
-    assert_eq!(code, 1, "precondition: one finding:\n{out}");
-
-    let (code, out) = run_audit(&root, &["--write-baseline", baseline_s]);
-    assert_eq!(code, 0, "writing a baseline exits 0:\n{out}");
-
-    let (code, out) = run_audit(&root, &["--baseline", baseline_s]);
-    assert_eq!(code, 0, "baselined findings do not gate:\n{out}");
-    assert!(out.contains("(1 baselined)"), "{out}");
-
-    // A regression: a *new* finding must fail even under the baseline.
-    write_file(
-        &root.join("det/src/new.rs"),
-        "pub fn g() -> usize { std::collections::HashMap::<u8, u8>::new().len() }\n",
-    );
-    let (code, out) = run_audit(&root, &["--baseline", baseline_s]);
-    assert_eq!(code, 1, "new findings still gate:\n{out}");
-    assert!(out.contains("hash-collections"), "{out}");
-    assert!(
-        !out.contains("wall-clock"),
-        "old finding is baselined:\n{out}"
-    );
-
-    // Baseline file gone: fatal, not clean.
-    std::fs::remove_file(&baseline).expect("remove baseline");
-    let (code, _) = run_audit(&root, &["--baseline", baseline_s]);
-    assert_eq!(code, 201, "a missing baseline must not read as accepted");
-}
-
 /// Pins the `--json` schema: every finding object carries `lint`,
 /// `function`, and `lock_pair` keys — populated by the concurrency
 /// lints, null for token lints — so downstream tooling can rely on

@@ -39,29 +39,6 @@ impl ReliabilityEstimate {
         Ok(Self { successes, trials })
     }
 
-    /// Builds an estimate by running `trials` Bernoulli trials of `f` on
-    /// the executor's threads, passing each trial's index as a seed. Trial
-    /// `i` receives seed `i` on any thread, so the estimate is the same
-    /// for any thread count, and the count is folded block-wise, so
-    /// memory stays O(1) in `trials`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0`.
-    pub fn from_trials<F>(executor: &rfid_sim::TrialExecutor, trials: u64, f: F) -> Self
-    where
-        F: Fn(u64) -> bool + Sync,
-    {
-        assert!(trials > 0, "at least one trial is required");
-        let successes = executor.run_fold(
-            trials,
-            || 0u64,
-            |acc, i| acc + u64::from(f(i)),
-            |a, b| a + b,
-        );
-        Self { successes, trials }
-    }
-
     /// Number of successes.
     #[must_use]
     pub fn successes(&self) -> u64 {
@@ -142,15 +119,6 @@ impl ModelComparison {
     pub fn gap(&self) -> f64 {
         self.measured.point().value() - self.calculated.value()
     }
-
-    /// Whether the calculated value falls inside the measured estimate's
-    /// 95% interval — i.e. the independence model is statistically
-    /// consistent with the measurement.
-    #[must_use]
-    pub fn model_consistent(&self) -> bool {
-        let ci = self.measured.wilson_95();
-        ci.contains(self.calculated.value())
-    }
 }
 
 impl fmt::Display for ModelComparison {
@@ -174,26 +142,61 @@ mod tests {
         assert!(ReliabilityEstimate::from_counts(0, 10).is_ok());
     }
 
+    /// One tag passing a one-antenna portal at the edge of its read zone,
+    /// so whether a pass reads it depends on the pass's seed.
+    fn marginal_pass() -> rfid_sim::Scenario {
+        use rfid_geom::{Pose, Rotation, Vec3};
+        let facing = Rotation::between(Vec3::Y, -Vec3::Y).expect("antiparallel");
+        rfid_sim::ScenarioBuilder::new()
+            .duration_s(3.0)
+            .portal_reader(Pose::from_translation(Vec3::new(0.0, 0.0, 1.0)), 1)
+            .free_tag(rfid_sim::Motion::linear(
+                Pose::new(Vec3::new(-1.5, 8.0, 1.0), facing),
+                Vec3::new(1.0, 0.0, 0.0),
+                0.0,
+                3.0,
+            ))
+            .build()
+    }
+
+    /// The estimate of `trials` passes of `scenario` from `seed` on, built
+    /// as every R_M is: tracked passes over passes run.
+    fn estimate_from_trials(
+        scenario: &rfid_sim::Scenario,
+        trials: u64,
+        seed: u64,
+    ) -> ReliabilityEstimate {
+        let executor = rfid_sim::TrialExecutor::serial();
+        let tracked = crate::tracked_counts(&executor, scenario, trials, seed, &[[0]])[0];
+        ReliabilityEstimate::from_counts(tracked, trials).expect("tracked passes <= passes")
+    }
+
     #[test]
     fn from_trials_counts_successes() {
-        let est = ReliabilityEstimate::from_trials(&rfid_sim::TrialExecutor::serial(), 10, |i| {
-            i % 2 == 0
-        });
-        assert_eq!(est.successes(), 5);
+        let scenario = marginal_pass();
+        let est = estimate_from_trials(&scenario, 10, 0);
+        let by_hand = (0..10)
+            .filter(|&seed| rfid_sim::run_scenario(&scenario, seed).tag_was_read(0))
+            .count() as u64;
+        assert_eq!(est.successes(), by_hand);
         assert_eq!(est.trials(), 10);
-        assert_eq!(est.point().value(), 0.5);
+        assert_eq!(est.point().value(), by_hand as f64 / 10.0);
     }
 
     #[test]
     fn trials_receive_distinct_seeds() {
-        let seen = std::sync::Mutex::new(Vec::new());
-        let _ = ReliabilityEstimate::from_trials(&rfid_sim::TrialExecutor::serial(), 5, |i| {
-            seen.lock().expect("no trial panicked").push(i);
-            true
+        // Trial `i` runs seed `seed + i`: the estimate of five trials is
+        // the pool of one-trial estimates at five consecutive seeds...
+        let scenario = marginal_pass();
+        let pooled = (1..5).fold(estimate_from_trials(&scenario, 1, 0), |acc, seed| {
+            acc.pooled(&estimate_from_trials(&scenario, 1, seed))
         });
-        assert_eq!(
-            seen.into_inner().expect("no trial panicked"),
-            vec![0, 1, 2, 3, 4]
+        let est = estimate_from_trials(&scenario, 5, 0);
+        assert_eq!(est, pooled);
+        // ...and the passes differ: one seed for all would read all or none.
+        assert!(
+            est.successes() > 0 && est.successes() < est.trials(),
+            "{est}"
         );
     }
 
@@ -220,13 +223,15 @@ mod tests {
         let calc = Probability::new(0.96).unwrap();
         let row = ModelComparison::new("2 antennas, 1 tag", measured, calc);
         assert!(row.gap() < 0.0);
-        assert!(!row.model_consistent(), "96% lies outside Wilson(86/100)");
+        let consistent =
+            |row: &ModelComparison| row.measured.wilson_95().contains(row.calculated.value());
+        assert!(!consistent(&row), "96% lies outside Wilson(86/100)");
 
         // Tags row: measured 97%, calculated 97% — consistent.
         let measured = ReliabilityEstimate::from_counts(97, 100).unwrap();
         let calc = Probability::new(0.97).unwrap();
         let row = ModelComparison::new("1 antenna, 2 tags", measured, calc);
-        assert!(row.model_consistent());
+        assert!(consistent(&row));
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!   (the paper's Table 1 guidance),
 //! * [`min_safe_spacing`] — the minimum inter-tag distance from a measured
 //!   spacing-reliability curve (the paper's Figure 4 guidance),
-//! * [`tracking_outcome`] and [`estimate_over_trials`] — bridge helpers
-//!   that turn raw simulator output into tracking outcomes, and repeated
-//!   trials into an estimate.
+//! * [`tracking_outcome`] and [`tracked_counts`] — the paper's tracking
+//!   rule (any tag at any antenna) applied to one simulated pass, and
+//!   folded over repeated passes into per-object tracked counts: the
+//!   count behind every measured R_M.
 //!
 //! # Examples
 //!
@@ -57,11 +58,9 @@ mod tracking;
 
 pub use correlation::{CommonCauseModel, JointOutcomes};
 pub use estimate::{ModelComparison, ReliabilityEstimate};
-pub use model::{combined_reliability, k_of_n_reliability, ReadOpportunity};
+pub use model::{combined_reliability, ReadOpportunity};
 pub use placement::{PlacementAdvisor, PlacementReport};
-pub use planner::{
-    cheapest_plan, cheapest_plan_conservative, CostModel, PlanLimits, RedundancyPlan,
-};
+pub use planner::{cheapest_plan, CostModel, PlanLimits, RedundancyPlan};
 pub use probability::{Probability, ProbabilityError};
 pub use spacing::min_safe_spacing;
-pub use tracking::{estimate_over_trials, tracking_outcome};
+pub use tracking::{tracked_counts, tracking_outcome};

@@ -54,37 +54,6 @@ where
     Probability::clamped(1.0 - miss_all)
 }
 
-/// Probability that at least `k` of the independent opportunities succeed.
-///
-/// `k = 1` reduces to [`combined_reliability`]; higher `k` models voting
-/// schemes (e.g. requiring two tag sightings before raising an alarm, a
-/// false-positive counter-measure).
-///
-/// # Panics
-///
-/// Panics if `k == 0` (at least zero successes is trivially certain and
-/// almost always a caller bug).
-#[must_use]
-pub fn k_of_n_reliability(k: usize, probabilities: &[Probability]) -> Probability {
-    assert!(k > 0, "k must be at least 1");
-    let n = probabilities.len();
-    if k > n {
-        return Probability::ZERO;
-    }
-    // Dynamic program over tags: dp[j] = P(exactly j successes so far).
-    let mut dp = vec![0.0f64; n + 1];
-    dp[0] = 1.0;
-    for (i, p) in probabilities.iter().enumerate() {
-        let p = p.value();
-        for j in (0..=i + 1).rev() {
-            let with = if j > 0 { dp[j - 1] * p } else { 0.0 };
-            let without = dp[j] * (1.0 - p);
-            dp[j] = with + without;
-        }
-    }
-    Probability::clamped(dp[k..].iter().sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,32 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn k_of_n_boundary_cases() {
-        let ps = [p(0.9), p(0.8), p(0.7)];
-        // k = 1 matches the union formula.
-        assert!(
-            (k_of_n_reliability(1, &ps).value() - combined_reliability(ps).value()).abs() < 1e-12
-        );
-        // k = n is the product.
-        assert!((k_of_n_reliability(3, &ps).value() - 0.9 * 0.8 * 0.7).abs() < 1e-12);
-        // k > n is impossible.
-        assert_eq!(k_of_n_reliability(4, &ps), Probability::ZERO);
-    }
-
-    #[test]
-    fn k_of_n_known_value() {
-        // Three fair coins, at least two heads: 0.5.
-        let ps = [p(0.5), p(0.5), p(0.5)];
-        assert!((k_of_n_reliability(2, &ps).value() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be at least 1")]
-    fn k_zero_panics() {
-        let _ = k_of_n_reliability(0, &[]);
-    }
-
-    #[test]
     fn opportunity_labels_survive() {
         let opp = ReadOpportunity::new("front x ant-1", p(0.87));
         assert_eq!(opp.label, "front x ant-1");
@@ -182,15 +125,5 @@ mod tests {
             prop_assert!(rc.value() >= best - 1e-12);
         }
 
-        #[test]
-        fn k_of_n_is_monotone_in_k(values in proptest::collection::vec(0.0f64..=1.0, 1..8)) {
-            let ps: Vec<Probability> = values.iter().map(|&v| p(v)).collect();
-            let mut last = 1.0;
-            for k in 1..=ps.len() {
-                let r = k_of_n_reliability(k, &ps).value();
-                prop_assert!(r <= last + 1e-12);
-                last = r;
-            }
-        }
     }
 }

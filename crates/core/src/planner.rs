@@ -7,7 +7,7 @@
 //! dense-reader mode. The planner encodes those semantics: reader
 //! redundancy contributes opportunities only when dense mode is available.
 
-use crate::{combined_reliability, Probability, ReliabilityEstimate};
+use crate::{combined_reliability, Probability};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -58,21 +58,6 @@ impl RedundancyPlan {
     #[must_use]
     pub fn is_self_defeating(&self) -> bool {
         self.readers_per_portal > 1 && !self.dense_reader_mode
-    }
-
-    /// Predicted tracking reliability when every opportunity has the same
-    /// single-opportunity reliability `p`.
-    ///
-    /// Self-defeating plans are scored at a fraction of `p` (interference
-    /// takes reliability *below* the baseline, the direction the paper
-    /// measured; the exact penalty depends on geometry and is refined by
-    /// simulation).
-    #[must_use]
-    pub fn predicted_reliability(&self, p: Probability) -> Probability {
-        if self.is_self_defeating() {
-            return Probability::clamped(p.value() * 0.3);
-        }
-        combined_reliability(std::iter::repeat_n(p, self.opportunities()))
     }
 
     /// Predicted reliability with distinct per-placement reliabilities:
@@ -253,25 +238,6 @@ pub fn cheapest_plan(
     best.map(|(_, plan)| plan)
 }
 
-/// Like [`cheapest_plan`], but plans against each placement's 95% Wilson
-/// *lower bound* rather than its point estimate, so that small-sample
-/// optimism (the paper's cells have as few as 12 trials) cannot select an
-/// under-provisioned deployment. The returned plan meets `target` even if
-/// every placement is at the pessimistic edge of its confidence interval.
-#[must_use]
-pub fn cheapest_plan_conservative(
-    target: Probability,
-    placements: &[ReliabilityEstimate],
-    costs: &CostModel,
-    limits: &PlanLimits,
-) -> Option<RedundancyPlan> {
-    let lower_bounds: Vec<Probability> = placements
-        .iter()
-        .map(|estimate| Probability::clamped(estimate.wilson_95().low))
-        .collect();
-    cheapest_plan(target, &lower_bounds, costs, limits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +251,7 @@ mod tests {
         let plan = RedundancyPlan::baseline();
         assert_eq!(plan.opportunities(), 1);
         assert!(!plan.is_self_defeating());
-        assert_eq!(plan.predicted_reliability(p(0.8)).value(), 0.8);
+        assert_eq!(plan.predicted_reliability_with(&[p(0.8)]).value(), 0.8);
     }
 
     #[test]
@@ -295,7 +261,7 @@ mod tests {
             ..RedundancyPlan::baseline()
         };
         // 1 - 0.2^2 = 0.96 for p = 0.8.
-        assert!((two_tags.predicted_reliability(p(0.8)).value() - 0.96).abs() < 1e-12);
+        assert!((two_tags.predicted_reliability_with(&[p(0.8); 2]).value() - 0.96).abs() < 1e-12);
 
         let two_by_two = RedundancyPlan {
             tags_per_object: 2,
@@ -303,7 +269,7 @@ mod tests {
             ..RedundancyPlan::baseline()
         };
         assert_eq!(two_by_two.opportunities(), 4);
-        assert!(two_by_two.predicted_reliability(p(0.8)).value() > 0.998);
+        assert!(two_by_two.predicted_reliability_with(&[p(0.8); 2]).value() > 0.998);
     }
 
     #[test]
@@ -314,7 +280,7 @@ mod tests {
         };
         assert!(plan.is_self_defeating());
         assert!(
-            plan.predicted_reliability(p(0.8)).value() < 0.8,
+            plan.predicted_reliability_with(&[p(0.8)]).value() < 0.8,
             "two legacy readers must score below the single-reader baseline"
         );
         let dense = RedundancyPlan {
@@ -374,51 +340,6 @@ mod tests {
             .expect("achievable");
         assert_eq!(plan.tags_per_object, 1);
         assert!(plan.antennas_per_portal >= 2);
-    }
-
-    #[test]
-    fn conservative_planning_never_under_provisions() {
-        // 11/12 front, 10/12 side: points say ~92%/83%, but at n = 12 the
-        // Wilson lower bounds are ~65%/55%.
-        let measured = [
-            ReliabilityEstimate::from_counts(11, 12).unwrap(),
-            ReliabilityEstimate::from_counts(10, 12).unwrap(),
-        ];
-        let points: Vec<Probability> = measured.iter().map(|e| e.point()).collect();
-        let costs = CostModel::default();
-        let limits = PlanLimits::default();
-        let target = p(0.99);
-        let optimistic = cheapest_plan(target, &points, &costs, &limits).expect("achievable");
-        let conservative =
-            cheapest_plan_conservative(target, &measured, &costs, &limits).expect("achievable");
-        assert!(
-            conservative.opportunities() >= optimistic.opportunities(),
-            "conservative {conservative} vs optimistic {optimistic}"
-        );
-        // And the conservative plan still meets the target at the lower
-        // bounds.
-        let lows: Vec<Probability> = measured
-            .iter()
-            .map(|e| Probability::clamped(e.wilson_95().low))
-            .collect();
-        assert!(conservative.predicted_reliability_with(&lows).value() >= 0.99);
-    }
-
-    #[test]
-    fn conservative_converges_to_point_with_big_samples() {
-        // At n = 10000 the interval is tight: same plan either way.
-        let measured = [
-            ReliabilityEstimate::from_counts(8700, 10000).unwrap(),
-            ReliabilityEstimate::from_counts(8300, 10000).unwrap(),
-        ];
-        let points: Vec<Probability> = measured.iter().map(|e| e.point()).collect();
-        let costs = CostModel::default();
-        let limits = PlanLimits::default();
-        let target = p(0.99);
-        assert_eq!(
-            cheapest_plan(target, &points, &costs, &limits),
-            cheapest_plan_conservative(target, &measured, &costs, &limits)
-        );
     }
 
     #[test]

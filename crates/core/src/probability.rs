@@ -38,8 +38,6 @@ pub struct Probability(f64);
 impl Probability {
     /// Certain failure.
     pub const ZERO: Probability = Probability(0.0);
-    /// Certain success.
-    pub const ONE: Probability = Probability(1.0);
 
     /// Creates a probability.
     ///
@@ -130,7 +128,7 @@ mod tests {
 
     #[test]
     fn clamping_saturates() {
-        assert_eq!(Probability::clamped(1.7), Probability::ONE);
+        assert_eq!(Probability::clamped(1.7).value(), 1.0);
         assert_eq!(Probability::clamped(-3.0), Probability::ZERO);
         assert_eq!(Probability::clamped(0.5).value(), 0.5);
     }
@@ -144,7 +142,7 @@ mod tests {
     #[test]
     fn display_matches_paper_style() {
         assert_eq!(Probability::new(0.63).unwrap().to_string(), "63.0%");
-        assert_eq!(Probability::ONE.to_string(), "100.0%");
+        assert_eq!(Probability::new(1.0).unwrap().to_string(), "100.0%");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::report::{percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
-use rfid_core::tracking_outcome;
+use rfid_core::tracked_counts;
 use rfid_phys::Mounting;
 use rfid_sim::{Scenario, TrialExecutor};
 use rfid_stats::{Align, Table};
@@ -133,19 +133,9 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) 
                 let (mut scenario, box_tags) =
                     object_pass_scenario(cal, &ObjectPassConfig::single(face));
                 mechanism.apply(&mut scenario);
-                let hits = executor.run_scenario_fold(
-                    &scenario,
-                    trials,
-                    seed,
-                    || 0u64,
-                    |acc, output| {
-                        acc + box_tags
-                            .iter()
-                            .filter(|tags| tracking_outcome(&output, tags))
-                            .count() as u64
-                    },
-                    |a, b| a + b,
-                );
+                let hits: u64 = tracked_counts(executor, &scenario, trials, seed, &box_tags)
+                    .iter()
+                    .sum();
                 values[fi] = hits as f64 / (trials * BOX_COUNT as u64) as f64;
             }
             (mechanism, values)

@@ -3,7 +3,7 @@
 use crate::report::shape_check_line;
 use crate::scenarios::{spacing_scenario, OrientationCase, TAG_COUNT};
 use crate::Calibration;
-use rfid_sim::{run_scenario_with, ScenarioCache, TrialExecutor};
+use rfid_sim::TrialExecutor;
 use rfid_stats::{Align, StreamSummary, Table};
 
 /// Spacings the paper sweeps, meters.
@@ -79,20 +79,16 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) 
     for (oi, &orientation) in OrientationCase::ALL.iter().enumerate() {
         for (si, &spacing_m) in SPACINGS_M.iter().enumerate() {
             let scenario = spacing_scenario(cal, spacing_m, orientation);
-            let cache = ScenarioCache::new(&scenario);
-            let tags_read = executor.run_fold(
+            let cell_seed = seed
+                .wrapping_add((oi as u64) << 32)
+                .wrapping_add((si as u64) << 40);
+            let tags_read = executor.run_scenario_fold(
+                &scenario,
                 trials,
+                cell_seed,
                 StreamSummary::new,
-                |mut acc, i| {
-                    let trial_seed = seed
-                        .wrapping_add(i)
-                        .wrapping_add((oi as u64) << 32)
-                        .wrapping_add((si as u64) << 40);
-                    acc.push(
-                        run_scenario_with(&scenario, &cache, trial_seed)
-                            .tags_read()
-                            .len() as f64,
-                    );
+                |mut acc, output| {
+                    acc.push(output.tags_read().len() as f64);
                     acc
                 },
                 |mut a, b| {

@@ -10,6 +10,7 @@
 use crate::report::{percent, shape_check_line};
 use crate::scenarios::{antenna_poses, orient_tag};
 use crate::Calibration;
+use rfid_core::tracked_counts;
 use rfid_phys::{Dbm, Mounting};
 use rfid_sim::{Attachment, Motion, Scenario, ScenarioBuilder, SimTag, TrialExecutor};
 use rfid_stats::{Align, Table};
@@ -117,23 +118,12 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) 
         .iter()
         .map(|&power_dbm| {
             let scenario = portal_with_bystander(cal, power_dbm);
-            let (legitimate_hits, bystander_hits) = executor.run_scenario_fold(
-                &scenario,
-                trials,
-                seed,
-                || (0u64, 0u64),
-                |(legit, bystander), output| {
-                    (
-                        legit + u64::from(output.tag_was_read(0)),
-                        bystander + u64::from(output.tag_was_read(1)),
-                    )
-                },
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            );
+            // The passing tag and the bystander are one-tag objects.
+            let hits = tracked_counts(executor, &scenario, trials, seed, &[[0], [1]]);
             PowerRow {
                 power_dbm,
-                in_zone_reliability: legitimate_hits as f64 / trials as f64,
-                false_positive_rate: bystander_hits as f64 / trials as f64,
+                in_zone_reliability: hits[0] as f64 / trials as f64,
+                false_positive_rate: hits[1] as f64 / trials as f64,
             }
         })
         .collect();

@@ -10,7 +10,7 @@
 use crate::report::{paper_vs_measured, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
-use rfid_core::{tracking_outcome, ReliabilityEstimate};
+use rfid_core::{tracked_counts, ReliabilityEstimate};
 use rfid_sim::TrialExecutor;
 
 /// Reader-redundancy results.
@@ -54,19 +54,9 @@ fn measure(
         dense_mode: dense,
     };
     let (scenario, box_tags) = object_pass_scenario(cal, &config);
-    let hits: u64 = executor.run_scenario_fold(
-        &scenario,
-        trials,
-        seed,
-        || 0u64,
-        |acc, output| {
-            acc + box_tags
-                .iter()
-                .filter(|tags| tracking_outcome(&output, tags))
-                .count() as u64
-        },
-        |a, b| a + b,
-    );
+    let hits = tracked_counts(executor, &scenario, trials, seed, &box_tags)
+        .iter()
+        .sum();
     ReliabilityEstimate::from_counts(hits, trials * BOX_COUNT as u64).expect("bounded")
 }
 

@@ -3,7 +3,7 @@
 use crate::report::{paper_vs_measured, percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
-use rfid_core::{tracking_outcome, PlacementAdvisor, ReliabilityEstimate};
+use rfid_core::{tracked_counts, PlacementAdvisor, ReliabilityEstimate};
 use rfid_sim::TrialExecutor;
 
 /// The paper's published Table 1 values, for side-by-side reporting.
@@ -68,19 +68,9 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) 
         .iter()
         .map(|&face| {
             let (scenario, box_tags) = object_pass_scenario(cal, &ObjectPassConfig::single(face));
-            let hits: u64 = executor.run_scenario_fold(
-                &scenario,
-                trials,
-                seed,
-                || 0u64,
-                |acc, output| {
-                    acc + box_tags
-                        .iter()
-                        .filter(|tags| tracking_outcome(&output, tags))
-                        .count() as u64
-                },
-                |a, b| a + b,
-            );
+            let hits: u64 = tracked_counts(executor, &scenario, trials, seed, &box_tags)
+                .iter()
+                .sum();
             let estimate = ReliabilityEstimate::from_counts(hits, trials * BOX_COUNT as u64)
                 .expect("hits cannot exceed trials x boxes");
             (face, estimate)

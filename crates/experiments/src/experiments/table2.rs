@@ -3,7 +3,7 @@
 use crate::report::{paper_vs_measured, percent, shape_check_line};
 use crate::scenarios::{human_pass_scenario, BadgeSpot, HumanPassConfig};
 use crate::Calibration;
-use rfid_core::{tracking_outcome, ReliabilityEstimate};
+use rfid_core::{tracked_counts, ReliabilityEstimate};
 use rfid_sim::TrialExecutor;
 
 /// Table 2 results.
@@ -70,16 +70,9 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) 
         .iter()
         .map(|&spot| {
             let (scenario, subject_tags) = human_pass_scenario(cal, &HumanPassConfig::single(spot));
-            let hits = executor.run_scenario_fold(
-                &scenario,
-                trials,
-                seed,
-                || 0u64,
-                |acc, output| acc + u64::from(tracking_outcome(&output, &subject_tags[0])),
-                |a, b| a + b,
-            );
+            let hits = tracked_counts(executor, &scenario, trials, seed, &subject_tags);
             let estimate =
-                ReliabilityEstimate::from_counts(hits, trials).expect("hits bounded by trials");
+                ReliabilityEstimate::from_counts(hits[0], trials).expect("hits bounded by trials");
             (spot, estimate)
         })
         .collect();
@@ -93,26 +86,17 @@ pub fn run(cal: &Calibration, trials: u64, seed: u64, executor: &TrialExecutor) 
                 antennas: 1,
             };
             let (scenario, subject_tags) = human_pass_scenario(cal, &config);
-            let (closer_hits, farther_hits) = executor.run_scenario_fold(
+            let hits = tracked_counts(
+                executor,
                 &scenario,
                 trials,
                 seed.wrapping_add(0x2000),
-                || (0u64, 0u64),
-                |(closer, farther), output| {
-                    (
-                        closer + u64::from(tracking_outcome(&output, &subject_tags[0])),
-                        farther + u64::from(tracking_outcome(&output, &subject_tags[1])),
-                    )
-                },
-                |a, b| (a.0 + b.0, a.1 + b.1),
+                &subject_tags,
             );
-            (
-                spot,
-                ReliabilityEstimate::from_counts(closer_hits, trials)
-                    .expect("hits bounded by trials"),
-                ReliabilityEstimate::from_counts(farther_hits, trials)
-                    .expect("hits bounded by trials"),
-            )
+            let estimate = |hits| {
+                ReliabilityEstimate::from_counts(hits, trials).expect("hits bounded by trials")
+            };
+            (spot, estimate(hits[0]), estimate(hits[1]))
         })
         .collect();
 

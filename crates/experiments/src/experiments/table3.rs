@@ -10,7 +10,7 @@ use crate::report::{model_comparison_table, percent, shape_check_line};
 use crate::scenarios::{object_pass_scenario, BoxFace, ObjectPassConfig, BOX_COUNT};
 use crate::Calibration;
 use rfid_core::{
-    combined_reliability, tracking_outcome, CommonCauseModel, JointOutcomes, ModelComparison,
+    combined_reliability, tracked_counts, CommonCauseModel, JointOutcomes, ModelComparison,
     Probability, ReliabilityEstimate,
 };
 use rfid_sim::TrialExecutor;
@@ -73,19 +73,9 @@ fn measure(
     executor: &TrialExecutor,
 ) -> ReliabilityEstimate {
     let (scenario, box_tags) = object_pass_scenario(cal, config);
-    let hits = executor.run_scenario_fold(
-        &scenario,
-        trials,
-        seed,
-        || 0u64,
-        |acc, output| {
-            acc + box_tags
-                .iter()
-                .filter(|tags| tracking_outcome(&output, tags))
-                .count() as u64
-        },
-        |a, b| a + b,
-    );
+    let hits = tracked_counts(executor, &scenario, trials, seed, &box_tags)
+        .iter()
+        .sum();
     ReliabilityEstimate::from_counts(hits, trials * BOX_COUNT as u64)
         .expect("hits bounded by trials x boxes")
 }

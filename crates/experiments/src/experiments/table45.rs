@@ -10,7 +10,7 @@ use crate::report::{model_comparison_table, shape_check_line};
 use crate::scenarios::{human_pass_scenario, BadgeSpot, HumanPassConfig};
 use crate::Calibration;
 use rfid_core::{
-    combined_reliability, tracking_outcome, ModelComparison, Probability, ReliabilityEstimate,
+    combined_reliability, tracked_counts, ModelComparison, Probability, ReliabilityEstimate,
 };
 use rfid_sim::TrialExecutor;
 
@@ -200,27 +200,8 @@ fn measure(
         antennas,
     };
     let (scenario, subject_tags) = human_pass_scenario(cal, &config);
-    let hits = executor.run_scenario_fold(
-        &scenario,
-        trials,
-        seed,
-        || vec![0u64; subjects],
-        |mut hits, output| {
-            for (subject, tags) in subject_tags.iter().enumerate() {
-                if tracking_outcome(&output, tags) {
-                    hits[subject] += 1;
-                }
-            }
-            hits
-        },
-        |mut a, b| {
-            for (slot, add) in a.iter_mut().zip(&b) {
-                *slot += add;
-            }
-            a
-        },
-    );
-    hits.into_iter()
+    tracked_counts(executor, &scenario, trials, seed, &subject_tags)
+        .into_iter()
         .map(|h| ReliabilityEstimate::from_counts(h, trials).expect("bounded"))
         .collect()
 }

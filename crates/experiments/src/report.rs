@@ -1,7 +1,7 @@
 //! Rendering helpers for experiment reports.
 
 use crate::campaign::CampaignState;
-use rfid_core::{ModelComparison, ReliabilityEstimate};
+use rfid_core::ModelComparison;
 use rfid_sim::CampaignSpec;
 use rfid_stats::{Align, StreamSummary, Table};
 
@@ -69,18 +69,6 @@ pub fn model_comparison_table(title: &str, rows: &[(ModelComparison, &str, &str)
     format!("{title}\n{table}")
 }
 
-/// One line summarizing a reliability estimate with its 95% interval.
-#[must_use]
-pub fn estimate_line(label: &str, estimate: &ReliabilityEstimate) -> String {
-    let ci = estimate.wilson_95();
-    format!(
-        "{label}: {} [95% CI {:.0}-{:.0}%]",
-        estimate,
-        ci.low * 100.0,
-        ci.high * 100.0
-    )
-}
-
 /// Renders a [`StreamSummary`] the way figure rows need it: mean with
 /// sketch-derived quartiles, or `-` when nothing was folded in.
 #[must_use]
@@ -141,7 +129,7 @@ pub fn counters_line(snapshot: &rfid_sim::CountersSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_core::Probability;
+    use rfid_core::{Probability, ReliabilityEstimate};
 
     #[test]
     fn percent_rounds_like_the_paper() {
@@ -164,15 +152,6 @@ mod tests {
         assert!(text.contains("2 tags"));
         assert!(text.contains("97%"));
         assert!(text.contains("paper R_M"));
-    }
-
-    #[test]
-    fn estimate_line_shows_interval() {
-        let est = ReliabilityEstimate::from_counts(9, 12).unwrap();
-        let line = estimate_line("front", &est);
-        assert!(line.contains("front"));
-        assert!(line.contains("75%"));
-        assert!(line.contains("CI"));
     }
 
     #[test]

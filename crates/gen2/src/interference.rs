@@ -53,12 +53,6 @@ impl ReaderRf {
         }
     }
 
-    /// Carrier frequency of this reader's channel in Hz.
-    #[must_use]
-    pub fn carrier_hz(&self) -> f64 {
-        902.75e6 + f64::from(self.channel) * 0.5e6
-    }
-
     /// Whether `self` and `other` are spectrally separated (both dense-mode
     /// *and* on different channels).
     #[must_use]
@@ -227,12 +221,6 @@ mod tests {
             true,
         );
         assert_eq!(outcome, InterferenceOutcome::Clear);
-    }
-
-    #[test]
-    fn channel_frequencies_span_the_band() {
-        assert!((ReaderRf::dense(0).carrier_hz() - 902.75e6).abs() < 1.0);
-        assert!((ReaderRf::dense(49).carrier_hz() - 927.25e6).abs() < 1.0);
     }
 
     #[test]

@@ -298,30 +298,6 @@ impl InventoryEngine {
         log.duration_s = (now - start_time_s) + self.timing.reader_overhead_s;
         log
     }
-
-    /// Runs rounds back to back until `deadline_s`, returning all logs.
-    /// This is the reader's "buffered (continuous) read mode" from the
-    /// paper's methodology.
-    pub fn run_until<C: AirChannel + ?Sized>(
-        &self,
-        tags: &mut [TagFsm],
-        channel: &mut C,
-        session: Session,
-        start_time_s: f64,
-        deadline_s: f64,
-        seed: u64,
-    ) -> Vec<RoundLog> {
-        let mut logs = Vec::new();
-        let mut now = start_time_s;
-        let mut round = 0u64;
-        while now < deadline_s {
-            let log = self.run_round(tags, channel, session, now, seed ^ round);
-            now += log.duration_s.max(1e-6);
-            logs.push(log);
-            round += 1;
-        }
-        logs
-    }
 }
 
 #[cfg(test)]
@@ -463,21 +439,6 @@ mod tests {
             "duration = {} s",
             log.duration_s
         );
-    }
-
-    #[test]
-    fn continuous_mode_catches_stragglers() {
-        let mut tags = population(20);
-        let engine = InventoryEngine::default();
-        // Harsh channel per round, but many rounds.
-        let mut channel = ErasureChannel::new(0.9, 0.6, 17);
-        let logs = engine.run_until(&mut tags, &mut channel, Session::S1, 0.0, 5.0, 23);
-        assert!(logs.len() > 1, "several rounds should fit in 5 s");
-        let unique: std::collections::HashSet<Epc96> = logs
-            .iter()
-            .flat_map(|l| l.reads.iter().map(|r| r.epc))
-            .collect();
-        assert_eq!(unique.len(), 20, "every tag is eventually read");
     }
 
     #[test]

@@ -133,13 +133,6 @@ impl LinkTiming {
             + self.epc_reply_s()
             + self.t2_s()
     }
-
-    /// End-to-end time to read one tag including reader overhead — the
-    /// quantity the paper reports as "around .02 sec per tag".
-    #[must_use]
-    pub fn per_tag_read_s(&self) -> f64 {
-        self.success_slot_s() + self.reader_overhead_s
-    }
 }
 
 impl Default for LinkTiming {
@@ -155,7 +148,8 @@ mod tests {
     #[test]
     fn default_read_time_matches_the_paper() {
         // "around .02 sec per tag" — accept 15-30 ms.
-        let t = LinkTiming::ar400_default().per_tag_read_s();
+        let timing = LinkTiming::ar400_default();
+        let t = timing.success_slot_s() + timing.reader_overhead_s;
         assert!((0.015..=0.030).contains(&t), "per-tag read = {t} s");
     }
 
@@ -168,7 +162,6 @@ mod tests {
     #[test]
     fn fast_profile_is_faster() {
         assert!(LinkTiming::fast().success_slot_s() < LinkTiming::ar400_default().success_slot_s());
-        assert!(LinkTiming::fast().per_tag_read_s() < LinkTiming::ar400_default().per_tag_read_s());
     }
 
     #[test]

@@ -54,15 +54,6 @@ impl Pose {
         }
     }
 
-    /// A pure rotation about the origin.
-    #[must_use]
-    pub const fn from_rotation(rotation: Rotation) -> Self {
-        Self {
-            translation: Vec3::ZERO,
-            rotation,
-        }
-    }
-
     /// Translation component.
     #[must_use]
     pub fn translation(&self) -> Vec3 {

@@ -114,25 +114,6 @@ impl Vec3 {
         d.dot(d)
     }
 
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    #[must_use]
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
-    }
-
-    /// Angle between two vectors in radians, in `[0, pi]`.
-    ///
-    /// Returns `None` if either vector is (near-)zero.
-    #[must_use]
-    pub fn angle_to(self, other: Vec3) -> Option<f64> {
-        let denom = self.norm() * other.norm();
-        if denom < 1e-12 {
-            None
-        } else {
-            Some((self.dot(other) / denom).clamp(-1.0, 1.0).acos())
-        }
-    }
-
     /// Component-wise absolute value.
     #[must_use]
     pub fn abs(self) -> Vec3 {
@@ -233,22 +214,6 @@ mod tests {
     fn normalized_zero_is_none() {
         assert_eq!(Vec3::ZERO.normalized(), None);
         assert_eq!(Vec3::new(1e-13, 0.0, 0.0).normalized(), None);
-    }
-
-    #[test]
-    fn angle_between_axes_is_right() {
-        let angle = Vec3::X.angle_to(Vec3::Y).unwrap();
-        assert!((angle - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert_eq!(Vec3::ZERO.angle_to(Vec3::X), None);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(4.0, 5.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.5, 3.5, 4.5));
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl FadingProcess {
         let u4 = next_unit(&mut state);
         Db::new(rician_power_db(self.k_factor_db, u1, u2, u3, u4))
     }
-
-    /// Number of independent fades in a window of `duration_s` seconds.
-    #[must_use]
-    pub fn independent_fades(&self, duration_s: f64) -> usize {
-        (duration_s / self.coherence_s).ceil().max(1.0) as usize
-    }
 }
 
 /// Rician power fade relative to the mean, in dB, from four uniforms.
@@ -237,13 +231,6 @@ mod tests {
         assert!((coherence - 0.1638).abs() < 1e-3, "coherence = {coherence}");
         // Faster motion decorrelates sooner.
         assert!(FadingProcess::coherence_from_speed(2.0, 915.0e6) < coherence);
-    }
-
-    #[test]
-    fn independent_fades_counts_intervals() {
-        let f = FadingProcess::new(6.0, 0.16, 0);
-        assert_eq!(f.independent_fades(0.01), 1);
-        assert_eq!(f.independent_fades(1.6), 10);
     }
 
     #[test]

@@ -212,25 +212,6 @@ impl LinkReport {
     pub fn responds(&self) -> bool {
         self.forward_margin.value() >= 0.0 && self.reverse_margin.value() >= 0.0
     }
-
-    /// The binding (smaller) margin.
-    #[must_use]
-    pub fn limiting_margin(&self) -> Db {
-        if self.forward_margin <= self.reverse_margin {
-            self.forward_margin
-        } else {
-            self.reverse_margin
-        }
-    }
-
-    /// Signal-to-interference margin of the reply against an interfering
-    /// power level at the reader (e.g. another reader's carrier). The reply
-    /// is decodable in interference when the backscatter exceeds the
-    /// interferer by the required protection ratio.
-    #[must_use]
-    pub fn reverse_sir(&self, interference: Dbm) -> Db {
-        self.backscatter_power - interference
-    }
 }
 
 #[cfg(test)]
@@ -296,7 +277,6 @@ mod tests {
             report.forward_margin,
             report.reverse_margin
         );
-        assert_eq!(report.limiting_margin(), report.forward_margin);
     }
 
     #[test]
@@ -394,15 +374,6 @@ mod tests {
             single.forward_power
         );
         assert!(dual.responds(), "dual-dipole must survive a linear reader");
-    }
-
-    #[test]
-    fn reverse_sir_compares_backscatter_to_interference() {
-        let budget = LinkBudget::new(F);
-        let reader = ReaderAntenna::portal_default(Pose::IDENTITY);
-        let report = budget.evaluate(&reader, &boresight_tag(1.0), &[], Db::ZERO);
-        let sir = report.reverse_sir(Dbm::new(-30.0));
-        assert!((sir.value() - (report.backscatter_power.value() + 30.0)).abs() < 1e-12);
     }
 
     #[test]

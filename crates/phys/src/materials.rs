@@ -79,13 +79,6 @@ impl Material {
         self.attenuation_per_meter() * thickness_m + self.surface_loss()
     }
 
-    /// Whether the material is a good conductor (reflects rather than
-    /// absorbs; relevant for backing detuning and multipath bonuses).
-    #[must_use]
-    pub fn is_conductor(&self) -> bool {
-        matches!(self, Material::Metal)
-    }
-
     /// Whether the material significantly reflects UHF energy, making nearby
     /// objects of it act as scatterers (the paper's "reflections off the
     /// farther subject").
@@ -167,8 +160,7 @@ mod tests {
 
     #[test]
     fn conductors_and_reflectors() {
-        assert!(Material::Metal.is_conductor());
-        assert!(!Material::Flesh.is_conductor());
+        assert!(Material::Metal.is_reflective());
         assert!(Material::Flesh.is_reflective());
         assert!(!Material::Cardboard.is_reflective());
     }

@@ -42,17 +42,6 @@ impl Db {
         self.0
     }
 
-    /// Converts a linear power ratio to decibels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is not strictly positive.
-    #[must_use]
-    pub fn from_ratio(ratio: f64) -> Self {
-        assert!(ratio > 0.0, "power ratio must be positive");
-        Db(10.0 * ratio.log10())
-    }
-
     /// Converts to a linear power ratio.
     #[must_use]
     pub fn ratio(self) -> f64 {
@@ -134,23 +123,6 @@ impl Dbm {
     pub const fn value(self) -> f64 {
         self.0
     }
-
-    /// Converts milliwatts to dBm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mw` is not strictly positive.
-    #[must_use]
-    pub fn from_milliwatts(mw: f64) -> Self {
-        assert!(mw > 0.0, "power must be positive");
-        Dbm(10.0 * mw.log10())
-    }
-
-    /// Converts to milliwatts.
-    #[must_use]
-    pub fn milliwatts(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
 }
 
 /// Applying a gain/loss to an absolute level yields an absolute level.
@@ -188,15 +160,8 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn one_watt_is_30_dbm() {
-        assert!((Dbm::from_milliwatts(1000.0).value() - 30.0).abs() < 1e-12);
-        assert!((Dbm::new(30.0).milliwatts() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn three_db_is_a_factor_of_two() {
         assert!((Db::new(3.0103).ratio() - 2.0).abs() < 1e-3);
-        assert!((Db::from_ratio(2.0).value() - 3.0103).abs() < 1e-3);
     }
 
     #[test]
@@ -221,30 +186,14 @@ mod tests {
         assert_eq!(Dbm::new(30.0).to_string(), "30.0 dBm");
     }
 
-    #[test]
-    #[should_panic(expected = "power must be positive")]
-    fn from_milliwatts_validates() {
-        let _ = Dbm::from_milliwatts(0.0);
-    }
-
     proptest! {
         #[test]
-        fn db_ratio_round_trip(db in -100.0f64..100.0) {
-            let round = Db::from_ratio(Db::new(db).ratio()).value();
-            prop_assert!((round - db).abs() < 1e-9);
-        }
-
-        #[test]
-        fn dbm_milliwatt_round_trip(dbm in -120.0f64..60.0) {
-            let round = Dbm::from_milliwatts(Dbm::new(dbm).milliwatts()).value();
-            prop_assert!((round - dbm).abs() < 1e-9);
-        }
-
-        #[test]
         fn adding_db_adds_linearly(dbm in -50.0f64..50.0, db in -50.0f64..50.0) {
+            // A level in dBm is decibels above one milliwatt.
+            let milliwatts = |level: Dbm| Db::new(level.value()).ratio();
             let out = Dbm::new(dbm) + Db::new(db);
-            let linear = Dbm::new(dbm).milliwatts() * Db::new(db).ratio();
-            prop_assert!((out.milliwatts() - linear).abs() / linear < 1e-9);
+            let linear = milliwatts(Dbm::new(dbm)) * Db::new(db).ratio();
+            prop_assert!((milliwatts(out) - linear).abs() / linear < 1e-9);
         }
     }
 }

@@ -190,24 +190,6 @@ impl<T: Transport> ReaderClient<T> {
         self.expect_ok(&Request::StartBuffered)
     }
 
-    /// Leaves buffered mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError`] on transport, wire, or reader failures.
-    pub fn stop_buffered(&mut self) -> Result<(), ClientError> {
-        self.expect_ok(&Request::StopBuffered)
-    }
-
-    /// Clears the read buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError`] on transport, wire, or reader failures.
-    pub fn clear_buffer(&mut self) -> Result<(), ClientError> {
-        self.expect_ok(&Request::ClearBuffer)
-    }
-
     /// Fetches reader status.
     ///
     /// # Errors
@@ -268,7 +250,8 @@ mod tests {
         let tags = client.get_tags().unwrap();
         assert_eq!(tags.len(), 1);
         assert_eq!(tags[0].epc, "AA00000000000000000000BB");
-        client.stop_buffered().unwrap();
+        let emulator = client.transport_mut().emulator_mut();
+        assert_eq!(emulator.handle(&Request::StopBuffered), Response::Ok);
         assert_eq!(client.status().unwrap().mode, ReaderMode::Polled);
     }
 
@@ -322,18 +305,5 @@ mod tests {
             "the typed failure crosses the client unchanged"
         );
         assert!(err.source().is_some(), "transport error is the source");
-    }
-
-    #[test]
-    fn clear_buffer_works_through_the_client() {
-        let mut client = client();
-        client.start_buffered().unwrap();
-        client.transport_mut().emulator_mut().feed(TagRecord {
-            epc: "AA".into(),
-            antenna: 1,
-            time_s: 0.0,
-        });
-        client.clear_buffer().unwrap();
-        assert!(client.get_tags().unwrap().is_empty());
     }
 }

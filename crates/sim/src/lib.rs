@@ -72,9 +72,8 @@ pub use motion::Motion;
 pub use precompute::ScenarioCache;
 pub use rng::{mix64, RngStream};
 pub use runner::{
-    run_scenario, run_scenario_reference, run_scenario_streaming, run_scenario_streaming_with,
-    run_scenario_with, run_single_round, run_single_round_with, ReadEvent, RoundSummary, SimOutput,
-    SimStreamEvent,
+    run_scenario, run_scenario_reference, run_scenario_streaming_with, run_scenario_with,
+    run_single_round, run_single_round_with, ReadEvent, RoundSummary, SimOutput, SimStreamEvent,
 };
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use world::{Antenna, Attachment, SimObject, SimReader, SimTag, World, WorldError};

@@ -23,12 +23,6 @@ pub enum Motion {
         /// Time at which motion ends.
         t_end: f64,
     },
-    /// Piecewise-linear interpolation through timestamped poses
-    /// (orientations switch at waypoints; positions interpolate).
-    Waypoints {
-        /// Timestamped poses, strictly increasing in time.
-        points: Vec<(f64, Pose)>,
-    },
 }
 
 impl Motion {
@@ -48,26 +42,6 @@ impl Motion {
         }
     }
 
-    /// Convenience constructor for waypoint motion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or not strictly increasing in time.
-    #[must_use]
-    pub fn waypoints(points: Vec<(f64, Pose)>) -> Motion {
-        assert!(
-            !points.is_empty(),
-            "waypoint motion needs at least one point"
-        );
-        for pair in points.windows(2) {
-            assert!(
-                pair[0].0 < pair[1].0,
-                "waypoint times must be strictly increasing"
-            );
-        }
-        Motion::Waypoints { points }
-    }
-
     /// The pose at time `t`.
     #[must_use]
     pub fn pose_at(&self, t: f64) -> Pose {
@@ -82,45 +56,7 @@ impl Motion {
                 let dt = t.clamp(*t_start, *t_end) - t_start;
                 Pose::new(start.translation() + *velocity * dt, start.rotation())
             }
-            Motion::Waypoints { points } => {
-                if t <= points[0].0 {
-                    return points[0].1;
-                }
-                if let Some(last) = points.last() {
-                    if t >= last.0 {
-                        return last.1;
-                    }
-                }
-                let idx = points.partition_point(|(pt, _)| *pt <= t);
-                let (t0, p0) = points[idx - 1];
-                let (t1, p1) = points[idx];
-                let frac = (t - t0) / (t1 - t0);
-                Pose::new(p0.translation().lerp(p1.translation(), frac), p0.rotation())
-            }
         }
-    }
-
-    /// Instantaneous speed at time `t` (central difference), m/s.
-    #[must_use]
-    pub fn speed_at(&self, t: f64) -> f64 {
-        let dt = 1e-3;
-        let a = self.pose_at(t - dt).translation();
-        let b = self.pose_at(t + dt).translation();
-        a.distance(b) / (2.0 * dt)
-    }
-
-    /// The largest speed attained over `[t0, t1]`, sampled at `steps`
-    /// points — used to derive fading coherence times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0` or `t1 < t0`.
-    #[must_use]
-    pub fn max_speed(&self, t0: f64, t1: f64, steps: usize) -> f64 {
-        assert!(steps > 0 && t1 >= t0, "invalid sampling window");
-        (0..=steps)
-            .map(|i| self.speed_at(t0 + (t1 - t0) * i as f64 / steps as f64))
-            .fold(0.0, f64::max)
     }
 }
 
@@ -140,7 +76,6 @@ mod tests {
         let m = Motion::Static(pose);
         assert_eq!(m.pose_at(-5.0), pose);
         assert_eq!(m.pose_at(100.0), pose);
-        assert!(m.speed_at(1.0) < 1e-9);
     }
 
     #[test]
@@ -156,37 +91,6 @@ mod tests {
         // Clamped outside the window.
         assert_eq!(m.pose_at(-1.0).translation(), Vec3::new(-2.0, 1.0, 0.0));
         assert_eq!(m.pose_at(9.0).translation(), Vec3::new(2.0, 1.0, 0.0));
-        assert!((m.speed_at(2.0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn waypoints_interpolate_positions() {
-        let m = Motion::waypoints(vec![
-            (0.0, Pose::from_translation(Vec3::ZERO)),
-            (2.0, Pose::from_translation(Vec3::new(4.0, 0.0, 0.0))),
-            (3.0, Pose::from_translation(Vec3::new(4.0, 2.0, 0.0))),
-        ]);
-        assert_eq!(m.pose_at(1.0).translation(), Vec3::new(2.0, 0.0, 0.0));
-        assert_eq!(m.pose_at(2.5).translation(), Vec3::new(4.0, 1.0, 0.0));
-        assert_eq!(m.pose_at(-1.0).translation(), Vec3::ZERO);
-        assert_eq!(m.pose_at(10.0).translation(), Vec3::new(4.0, 2.0, 0.0));
-    }
-
-    #[test]
-    fn max_speed_finds_the_fast_segment() {
-        let m = Motion::waypoints(vec![
-            (0.0, Pose::from_translation(Vec3::ZERO)),
-            (1.0, Pose::from_translation(Vec3::new(1.0, 0.0, 0.0))), // 1 m/s
-            (2.0, Pose::from_translation(Vec3::new(4.0, 0.0, 0.0))), // 3 m/s
-        ]);
-        let v = m.max_speed(0.0, 2.0, 100);
-        assert!((v - 3.0).abs() < 0.1, "max speed = {v}");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn waypoints_validate_ordering() {
-        let _ = Motion::waypoints(vec![(1.0, Pose::IDENTITY), (1.0, Pose::IDENTITY)]);
     }
 
     #[test]

@@ -79,21 +79,14 @@ impl SimOutput {
     pub fn tags_read(&self) -> BTreeSet<usize> {
         self.reads.iter().map(|r| r.tag).collect()
     }
-
-    /// Number of reads of tag `tag`.
-    #[must_use]
-    pub fn reads_of(&self, tag: usize) -> usize {
-        self.reads.iter().filter(|r| r.tag == tag).count()
-    }
 }
 
 /// One event from a streaming scenario run, in emission order.
 ///
-/// The callback entry points ([`run_scenario_streaming`] and
-/// [`run_scenario_streaming_with`]) deliver the simulation as a live
-/// event stream instead of a materialized [`SimOutput`], so trials can
-/// drive incremental consumers (the `rfid-track` streaming operators)
-/// without buffering every read.
+/// The callback entry point [`run_scenario_streaming_with`] delivers
+/// the simulation as a live event stream instead of a materialized
+/// [`SimOutput`], so trials can drive incremental consumers (the
+/// `rfid-track` streaming operators) without buffering every read.
 ///
 /// Stream contract:
 ///
@@ -194,19 +187,8 @@ fn run_scenario_impl(scenario: &Scenario, cache: Option<&ScenarioCache>, seed: u
 /// Runs a scenario as a live event stream: every read, round summary,
 /// and scheduler watermark is handed to `sink` the moment it happens,
 /// and nothing is buffered. See [`SimStreamEvent`] for the stream
-/// contract. [`run_scenario`] is exactly this with a `Vec`-collecting
+/// contract. [`run_scenario_with`] is exactly this with a `Vec`-collecting
 /// sink plus a final stable sort of the reads by time.
-///
-/// # Panics
-///
-/// Panics if the scenario's world fails validation.
-pub fn run_scenario_streaming<F: FnMut(SimStreamEvent)>(scenario: &Scenario, seed: u64, sink: F) {
-    run_scenario_streaming_with(scenario, &ScenarioCache::new(scenario), seed, sink);
-}
-
-/// [`run_scenario_streaming`] sharing a precomputed [`ScenarioCache`],
-/// for repeated trials of the same scenario. The event stream is
-/// bit-identical to [`run_scenario_streaming`].
 ///
 /// # Panics
 ///
@@ -538,7 +520,8 @@ mod tests {
             ..SimOutput::default()
         };
         let mut last_watermark = f64::NEG_INFINITY;
-        run_scenario_streaming(&scenario, 11, |event| match event {
+        let cache = ScenarioCache::new(&scenario);
+        run_scenario_streaming_with(&scenario, &cache, 11, |event| match event {
             SimStreamEvent::Watermark(t) => {
                 assert!(t >= last_watermark, "watermarks must be non-decreasing");
                 last_watermark = t;
@@ -566,10 +549,6 @@ mod tests {
     fn output_accessors_agree() {
         let output = run_scenario(&pass_by().build(), 11);
         assert_eq!(output.tags_read().contains(&0), output.tag_was_read(0));
-        assert_eq!(
-            output.reads_of(0),
-            output.reads.iter().filter(|r| r.tag == 0).count()
-        );
         if output.tag_was_read(0) {
             assert!(output.tag_was_read_by(0, 0, 0));
         }

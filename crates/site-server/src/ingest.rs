@@ -260,12 +260,6 @@ impl<'a> SharedIngest<'a> {
         Ok(ingest)
     }
 
-    /// Whether a durable store backs this plane.
-    #[must_use]
-    pub fn is_durable(&self) -> bool {
-        self.durable
-    }
-
     /// Maps one released read to its zone observation exactly as the
     /// shard-side [`ObservationStream`] will: reads from unassigned
     /// portals or unknown tags map to `None`.
@@ -1103,7 +1097,7 @@ mod tests {
                 ingest.location_at_snapshot(object, lane, snapshot),
                 Ok(Some((0, "dock".to_owned()))),
                 "durable = {}",
-                ingest.is_durable()
+                ingest.durable
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1135,7 +1129,7 @@ mod tests {
                 .iter()
                 .map(|slot| slot.state.lock().expect("shard lock").tracker.history_len())
                 .sum();
-            assert_eq!(held, retained, "durable = {}", ingest.is_durable());
+            assert_eq!(held, retained, "durable = {}", ingest.durable);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

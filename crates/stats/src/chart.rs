@@ -24,36 +24,21 @@ pub struct BarChart {
     title: String,
     width: usize,
     bars: Vec<(String, f64)>,
-    max_value: f64,
 }
 
 impl BarChart {
     /// Creates a chart with the given title and maximum bar width in
-    /// characters. Values are assumed to lie in `[0, 1]` (reliabilities);
-    /// use [`BarChart::with_max`] for other scales.
+    /// characters. Values are reliabilities: a full-width bar is 1.0.
     #[must_use]
     pub fn new(title: &str, width: usize) -> Self {
         Self {
             title: title.to_owned(),
             width: width.max(1),
             bars: Vec::new(),
-            max_value: 1.0,
         }
     }
 
-    /// Sets the full-scale value that maps to a full-width bar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is not strictly positive.
-    #[must_use]
-    pub fn with_max(mut self, max: f64) -> Self {
-        assert!(max > 0.0, "chart maximum must be positive");
-        self.max_value = max;
-        self
-    }
-
-    /// Adds a bar. Values are clamped to `[0, max]` for rendering but shown
+    /// Adds a bar. Values are clamped to `[0, 1]` for rendering but shown
     /// numerically as given.
     pub fn bar(&mut self, label: &str, value: f64) -> &mut Self {
         self.bars.push((label.to_owned(), value));
@@ -83,14 +68,14 @@ impl fmt::Display for BarChart {
             .max()
             .unwrap_or(0);
         for (label, value) in &self.bars {
-            let frac = (value / self.max_value).clamp(0.0, 1.0);
+            let frac = value.clamp(0.0, 1.0);
             let filled = (frac * self.width as f64).round() as usize;
             writeln!(
                 f,
                 "  {label:<label_width$} |{}{}| {:>6.1}%",
                 "#".repeat(filled),
                 " ".repeat(self.width - filled),
-                value * 100.0 / self.max_value.max(f64::MIN_POSITIVE)
+                value * 100.0
             )?;
         }
         Ok(())
@@ -128,25 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_scale_rescales_percentages() {
-        let mut c = BarChart::new("tags read", 10).with_max(20.0);
-        c.bar("1 m", 20.0);
-        c.bar("5 m", 10.0);
-        let text = c.to_string();
-        assert!(text.contains("100.0%"));
-        assert!(text.contains("50.0%"));
-    }
-
-    #[test]
     fn empty_chart_is_just_the_title() {
         let c = BarChart::new("empty", 10);
         assert!(c.is_empty());
         assert_eq!(c.to_string(), "empty\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "chart maximum must be positive")]
-    fn with_max_validates() {
-        let _ = BarChart::new("bad", 5).with_max(0.0);
     }
 }

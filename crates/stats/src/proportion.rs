@@ -64,23 +64,6 @@ impl Proportion {
         Ok(Self { successes, trials })
     }
 
-    /// Builds a proportion by counting `true` outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::ZeroTrials`] for an empty iterator.
-    pub fn from_outcomes<I: IntoIterator<Item = bool>>(outcomes: I) -> Result<Self, StatsError> {
-        let mut successes = 0;
-        let mut trials = 0;
-        for ok in outcomes {
-            trials += 1;
-            if ok {
-                successes += 1;
-            }
-        }
-        Self::new(successes, trials)
-    }
-
     /// Number of successes.
     #[must_use]
     pub fn successes(&self) -> u64 {
@@ -225,17 +208,6 @@ mod tests {
         ));
         assert!(Proportion::new(0, 1).is_ok());
         assert!(Proportion::new(1, 1).is_ok());
-    }
-
-    #[test]
-    fn from_outcomes_counts() {
-        let p = Proportion::from_outcomes([true, false, true, true]).unwrap();
-        assert_eq!(p.successes(), 3);
-        assert_eq!(p.trials(), 4);
-        assert_eq!(
-            Proportion::from_outcomes(std::iter::empty()),
-            Err(StatsError::ZeroTrials)
-        );
     }
 
     #[test]

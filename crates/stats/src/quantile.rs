@@ -20,14 +20,6 @@ pub struct Quartiles {
     pub upper: f64,
 }
 
-impl Quartiles {
-    /// Interquartile range (`upper - lower`).
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.upper - self.lower
-    }
-}
-
 /// Computes the `p`-quantile of `samples` (unsorted input is fine).
 ///
 /// Samples are ordered by IEEE `total_cmp`, so `-0.0` sorts before
@@ -196,7 +188,6 @@ mod tests {
         assert_eq!(q.lower, 4.2);
         assert_eq!(q.median, 4.2);
         assert_eq!(q.upper, 4.2);
-        assert_eq!(q.iqr(), 0.0);
     }
 
     #[test]
@@ -207,12 +198,6 @@ mod tests {
         let q1 = quantile(&[0.0, -0.0], 1.0).unwrap();
         assert_eq!(q0.to_bits(), (-0.0f64).to_bits());
         assert_eq!(q1.to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn iqr_matches_quartile_difference() {
-        let q = quartiles(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]).unwrap();
-        assert!((q.iqr() - (q.upper - q.lower)).abs() < 1e-12);
     }
 
     proptest! {

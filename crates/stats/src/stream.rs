@@ -271,12 +271,6 @@ impl ExactSum {
         }
     }
 
-    /// Count of NaN pushes.
-    #[must_use]
-    pub fn nan_count(&self) -> u64 {
-        self.nan
-    }
-
     /// Serializes the canonical form (little-endian, deterministic).
     pub fn encode(&self, out: &mut Vec<u8>) {
         let (sign, mag) = self.canonical();
@@ -631,12 +625,6 @@ impl QuantileSketch {
         self.count == 0
     }
 
-    /// Count of NaN pushes (excluded from quantiles).
-    #[must_use]
-    pub fn nan_count(&self) -> u64 {
-        self.nan
-    }
-
     /// The `p`-quantile estimate (nearest-rank over the sorted
     /// multiset), within [`QUANTILE_ALPHA`] relative error inside the
     /// tracked range.
@@ -758,9 +746,9 @@ impl QuantileSketch {
 /// results. Equality compares that canonical state bitwise.
 ///
 /// Non-finite inputs are deterministic, not poisonous: NaN samples are
-/// counted ([`StreamSummary::nan_count`]) and excluded from every
-/// statistic; infinities flow through the moments with IEEE semantics
-/// and sort to the quantile extremes. Min/max order by IEEE `total_cmp`
+/// counted in [`StreamSummary::len`] and excluded from every statistic;
+/// infinities flow through the moments with IEEE semantics and sort to
+/// the quantile extremes. Min/max order by IEEE `total_cmp`
 /// (so `-0.0 < +0.0`); the empty summary reports `+inf`/`-inf`
 /// sentinels, the identities of [`StreamSummary::min`] and
 /// [`StreamSummary::max`].
@@ -815,9 +803,9 @@ impl StreamSummary {
         s
     }
 
-    /// Adds one sample. NaN is counted ([`StreamSummary::nan_count`])
-    /// and excluded from every statistic; all other values (including
-    /// ±inf) flow through.
+    /// Adds one sample. NaN is counted in [`StreamSummary::len`] and
+    /// excluded from every statistic; all other values (including ±inf)
+    /// flow through.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         if x.is_nan() {
@@ -878,12 +866,6 @@ impl StreamSummary {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Count of NaN samples (excluded from every statistic).
-    #[must_use]
-    pub fn nan_count(&self) -> u64 {
-        self.nan
     }
 
     /// The exact sum of all non-NaN samples, rounded once.
@@ -966,15 +948,6 @@ impl StreamSummary {
     /// [`StatsError::EmptyInput`] if no rankable sample was pushed.
     pub fn p50(&self) -> Result<f64, StatsError> {
         self.quantile(0.50)
-    }
-
-    /// Sketched 95th percentile.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::EmptyInput`] if no rankable sample was pushed.
-    pub fn p95(&self) -> Result<f64, StatsError> {
-        self.quantile(0.95)
     }
 
     /// Sketched 99th percentile.
@@ -1176,7 +1149,6 @@ mod tests {
         let mut t = ExactSum::new();
         t.push(f64::NAN);
         assert!(t.value().is_nan());
-        assert_eq!(t.nan_count(), 1);
     }
 
     #[test]
@@ -1240,7 +1212,6 @@ mod tests {
         for x in [-100.0, -1.0, -0.0, 0.0, 1.0, 100.0, f64::NAN] {
             s.push(x);
         }
-        assert_eq!(s.nan_count(), 1);
         assert_eq!(s.len(), 6);
         assert_eq!(s.quantile(0.5).unwrap(), 0.0); // rank 3 = -0.0 → zero bucket
         assert!(s.quantile(0.0).unwrap() < -99.0);
@@ -1430,7 +1401,6 @@ mod tests {
         s.push(f64::NAN);
         s.push(3.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.nan_count(), 1);
         assert_eq!(s.min(), 3.0);
         assert_eq!(s.max(), 3.0);
         assert_eq!(s.mean(), 3.0);

@@ -70,18 +70,6 @@ impl Table {
         self
     }
 
-    /// Appends a horizontal separator row.
-    pub fn separator(&mut self) -> &mut Self {
-        self.rows.push(Vec::new());
-        self
-    }
-
-    /// Number of data rows (separators included).
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -127,11 +115,7 @@ impl fmt::Display for Table {
         writeln!(f, "{}", render_row(&self.headers))?;
         writeln!(f, "{rule}")?;
         for row in &self.rows {
-            if row.is_empty() {
-                writeln!(f, "{rule}")?;
-            } else {
-                writeln!(f, "{}", render_row(row))?;
-            }
+            writeln!(f, "{}", render_row(row))?;
         }
         Ok(())
     }
@@ -145,7 +129,6 @@ mod tests {
         let mut t = Table::new(vec!["loc".into(), "rel".into()]);
         t.align(1, Align::Right);
         t.row(vec!["Front".into(), "87%".into()]);
-        t.separator();
         t.row(vec!["Average".into(), "63%".into()]);
         t
     }
@@ -154,10 +137,10 @@ mod tests {
     fn renders_all_rows() {
         let text = sample_table().to_string();
         let lines: Vec<&str> = text.lines().collect();
-        // header + rule + row + separator + row
-        assert_eq!(lines.len(), 5);
+        // header + rule + two rows
+        assert_eq!(lines.len(), 4);
         assert!(lines[2].contains("Front"));
-        assert!(lines[4].contains("Average"));
+        assert!(lines[3].contains("Average"));
     }
 
     #[test]
@@ -189,7 +172,6 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = Table::new(vec!["a".into(), "b".into(), "c".into()]);
         t.row(vec!["x".into()]);
-        assert_eq!(t.row_count(), 1);
         let text = t.to_string();
         assert!(text.lines().count() == 3);
     }

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use rfid_repro::core::{combined_reliability, estimate_over_trials, tracking_outcome, Probability};
+use rfid_repro::core::{combined_reliability, tracked_counts, Probability, ReliabilityEstimate};
 use rfid_repro::geom::{Pose, Rotation, Vec3};
 use rfid_repro::sim::{Motion, ScenarioBuilder, TrialExecutor};
 
@@ -29,9 +29,11 @@ fn main() {
     // spread over the machine's cores (the estimate is the same on any
     // number of threads).
     let executor = TrialExecutor::new();
-    let single = estimate_over_trials(&executor, &scenario, 40, 1, |output| {
-        tracking_outcome(output, &[0])
-    });
+    let measure = |scenario, object_tags: &[usize]| {
+        let tracked = tracked_counts(&executor, scenario, 40, 1, &[object_tags])[0];
+        ReliabilityEstimate::from_counts(tracked, 40).expect("40 passes were run")
+    };
+    let single = measure(&scenario, &[0]);
     println!("single tag, single antenna: {single}");
 
     // The paper's model: a second, independent read opportunity.
@@ -59,9 +61,7 @@ fn main() {
             5.0,
         ))
         .build();
-    let double = estimate_over_trials(&executor, &two_tag_scenario, 40, 1, |output| {
-        tracking_outcome(output, &[0, 1])
-    });
+    let double = measure(&two_tag_scenario, &[0, 1]);
     println!("two tags, measured:         {double}");
 
     let gap = (double.point().value() - predicted_two.value()).abs();
